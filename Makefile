@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy lint-unsafe build test doctest smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke fuzz bench bench-construction bench-store bench-tuner bench-daemon fix
+.PHONY: verify fmt clippy lint-unsafe build test doctest smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke bench-check fuzz bench bench-construction bench-store bench-tuner bench-daemon fix
 
-verify: fmt clippy lint-unsafe build test smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke
+verify: fmt clippy lint-unsafe build test smoke streaming store check-specs tune-smoke obs-smoke daemon-smoke examples doc fuzz-smoke bench-check
 	@echo "---- all checks passed ----"
 
 fmt:
@@ -133,6 +133,13 @@ daemon-smoke:
 fuzz-smoke:
 	$(CARGO) test -q --test fuzz_corpus
 	$(CARGO) run --release -p at_fuzz -- all --iters 20000 --seed 24301 --no-write
+
+# The benchmark-build gate: perfbench/ is a workspace of its own that builds
+# against the workspace crates by path, so a change to any public API it
+# imports breaks it without failing any other gate. Build it and run its
+# unit tests.
+bench-check:
+	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
 
 # The long-haul fuzzing run: minutes, not CI. New crashes are minimized and
 # written into tests/fuzz_corpus/<target>/ — fix the bug and check the

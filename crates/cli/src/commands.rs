@@ -9,8 +9,7 @@ use at_searchspace::{
     BuildOptions, BuildReport, Method, SearchSpace, SearchSpaceSpec, SpaceCharacteristics,
 };
 use at_store::{
-    CacheStatus, GcOptions, LoadOptions, SpaceStore, SpecFingerprint, StoreEntry, StoreError,
-    StoreOutcome,
+    CacheStatus, GcOptions, Load, SpaceStore, SpecFingerprint, StoreEntry, StoreError, StoreOutcome,
 };
 use at_tuner::{all_strategy_names, strategy_by_name, tune_with_options, EvalOptions, TuningRun};
 use at_workloads::{all_real_world, performance_model_for, real_world_by_name, real_world_names};
@@ -290,9 +289,9 @@ fn obtain_space(
             let store = SpaceStore::new(dir)
                 .map_err(|e| CliError::Run(format!("cache at `{dir}`: {e}")))?;
             let load = if args.switch("mmap") {
-                LoadOptions::mmap_trusted()
+                Load::Trusted
             } else {
-                LoadOptions::default()
+                Load::Verified
             };
             let (space, outcome) = store
                 .get_or_build_with_options(spec, method, options, load)
@@ -1092,7 +1091,7 @@ pub fn capabilities(args: &ParsedArgs) -> Result<String, CliError> {
         quote_list(real_world_names()),
         quote_list(&["hamming", "adjacent", "strictly-adjacent"]),
         at_store::FORMAT_VERSION,
-        at_store::MIN_READ_VERSION,
+        at_store::FORMAT_VERSION,
         quote_list(&[
             "content-addressed-cache",
             "mmap-zero-copy",
@@ -1267,7 +1266,7 @@ fn cache_info(args: &ParsedArgs) -> Result<(String, SpaceStore), CliError> {
                 }
                 if args.switch("mmap") {
                     let start = std::time::Instant::now();
-                    let loaded = at_store::load_space_from_path(&path, LoadOptions::mmap_trusted())
+                    let loaded = at_store::load_space_from_path(&path, Load::Trusted)
                         .map_err(|e| CliError::Run(e.to_string()))?;
                     writeln!(
                         out,

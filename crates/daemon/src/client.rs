@@ -1,7 +1,7 @@
 //! Client side of the `ATSD` protocol: connect, resolve, attach.
 //!
 //! The client never validates arena bytes itself: it asks the daemon for
-//! a validated path and mmaps it with `LoadOptions::mmap_trusted()` —
+//! a validated path and mmaps it with `Load::Trusted` —
 //! O(header) attach, no solve, no arena copy, no arena CRC walk. See the
 //! [crate documentation](crate) for why that trust is sound.
 
@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use at_searchspace::{spec_to_json, Method, SearchSpaceSpec};
-use at_store::{load_space_from_path, LoadOptions, LoadedSpace, SpecFingerprint, StoreError};
+use at_store::{load_space_from_path, Load, LoadedSpace, SpecFingerprint, StoreError};
 
 use crate::error::DaemonError;
 use crate::proto::{read_frame, write_frame, Frame, ServeKind};
@@ -50,7 +50,7 @@ impl Resolved {
     /// validated path with the persisted index trusted. This is the
     /// O(header) step the whole protocol exists for.
     pub fn attach(&self) -> Result<LoadedSpace, StoreError> {
-        load_space_from_path(&self.path, LoadOptions::mmap_trusted())
+        load_space_from_path(&self.path, Load::Trusted)
     }
 }
 

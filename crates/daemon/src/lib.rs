@@ -38,8 +38,8 @@
 //!
 //! ## The trust model
 //!
-//! A client attaches with `LoadOptions::mmap_trusted()` — zero-copy mmap,
-//! persisted index adopted, **no arena CRC walk**. That is sound because
+//! A client attaches with `Load::Trusted` — zero-copy mmap, persisted
+//! index adopted, **no arena CRC walk**. That is sound because
 //! the daemon validated the exact file first: on first serve of an entry
 //! it runs the strict read (every checksum, index adoption with sampled
 //! verification), and entries it built itself were streamed through the

@@ -10,8 +10,7 @@
 //! clients while they wait. Completed entries are remembered in a
 //! *validated* set: the daemon fully validates a file once (checksums,
 //! index adoption) and afterwards serves it O(header) — a `peek_info`
-//! plus the path, which the client mmaps with
-//! `LoadOptions::mmap_trusted()`.
+//! plus the path, which the client maps with `Load::Trusted`.
 //!
 //! Entries are pinned ([`SpaceStore::pin`]) from the moment a reply
 //! references them until every connection holding that reply closes, so

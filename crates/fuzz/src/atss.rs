@@ -2,8 +2,8 @@
 //!
 //! See the crate docs for the full oracle statements. Both targets treat
 //! the input bytes as a (possibly damaged) store file; the differential
-//! target additionally drives the whole `LoadOptions` matrix and
-//! cross-checks every successful load against every other.
+//! target additionally drives both loaders and cross-checks every
+//! successful load against the other and the strict reader.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -11,8 +11,8 @@ use rand_chacha::ChaCha8Rng;
 use at_csp::Value;
 use at_searchspace::{ConfigId, SearchSpace, TunableParameter};
 use at_store::{
-    peek_info, read_space_from_bytes, write_space, IndexPolicy, LoadMode, LoadOptions, StoreError,
-    StoreReader,
+    load_space_from_path, peek_info, read_space_from_bytes, write_space, IndexOutcome, Load,
+    StoreError,
 };
 
 use crate::harness::fnv1a;
@@ -134,55 +134,40 @@ pub fn reader_target(input: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// One successful load, labelled with the options that produced it.
+/// One successful load, labelled with the loader that produced it.
 struct Loaded {
     label: String,
     space: SearchSpace,
+    /// Whether the membership table was rebuilt from the arena rather than
+    /// adopted from the file.
+    index_rebuilt: bool,
 }
 
-/// Target 2: bytes (mutated valid files) through every `LoadOptions`
-/// combination. See the crate docs for the oracle.
+/// Target 2: bytes (mutated valid files) through both loaders. See the
+/// crate docs for the oracle.
 pub fn load_differential_target(input: &[u8]) -> Result<(), String> {
     let strict = read_space_from_bytes(input).ok();
 
     let path = scratch_path("load-diff");
     std::fs::write(&path, input).map_err(|e| format!("scratch write failed: {e}"))?;
-    let reader = match StoreReader::open(&path) {
-        Ok(reader) => reader,
-        Err(e) => {
-            check_clean_error(&e, "StoreReader::open")?;
-            if strict.is_some() {
-                return Err(format!(
-                    "StoreReader::open rejected ({e}) bytes the strict reader accepts"
-                ));
-            }
-            return Ok(());
-        }
-    };
-
     let mut successes: Vec<Loaded> = Vec::new();
-    for mode in [LoadMode::Copy, LoadMode::Mmap] {
-        for index in [
-            IndexPolicy::Rebuild,
-            IndexPolicy::TrustPersisted,
-            IndexPolicy::VerifySampled,
-        ] {
-            let label = format!("{mode:?}/{index:?}");
-            match reader.load(LoadOptions { mode, index }) {
-                Ok(loaded) => successes.push(Loaded {
-                    label,
-                    space: loaded.space,
-                }),
-                Err(e) => {
-                    check_clean_error(&e, &label)?;
-                    if strict.is_some() {
-                        // The strict path checks strictly more than any
-                        // load combination; what it accepts, all must
-                        // serve (possibly via a reported fallback).
-                        return Err(format!(
-                            "{label} failed ({e}) on bytes the strict reader accepts"
-                        ));
-                    }
+    for load in [Load::Verified, Load::Trusted] {
+        let label = format!("{load:?}");
+        match load_space_from_path(&path, load) {
+            Ok(loaded) => successes.push(Loaded {
+                label,
+                space: loaded.space,
+                index_rebuilt: !matches!(loaded.report.index, IndexOutcome::Adopted { .. }),
+            }),
+            Err(e) => {
+                check_clean_error(&e, &label)?;
+                if strict.is_some() {
+                    // The strict path checks strictly more than either
+                    // loader; what it accepts, both must serve (possibly
+                    // via a reported fallback).
+                    return Err(format!(
+                        "{label} failed ({e}) on bytes the strict reader accepts"
+                    ));
                 }
             }
         }
@@ -213,12 +198,12 @@ pub fn load_differential_target(input: &[u8]) -> Result<(), String> {
     // Membership consistency: any id returned for a probe must point back
     // at exactly the probed codes — a damaged or stale index may *miss*,
     // never misattribute. Misses of present rows are only violations when
-    // the index is known-good: a rebuilt index, or a trusted/sampled one
-    // from a file the strict reader fully validated.
+    // the index is known-good: a rebuilt index, or an adopted one from a
+    // file the strict reader fully validated.
     let mut rng = ChaCha8Rng::seed_from_u64(fnv1a(input) ^ 0x4c4f_4144);
     for loaded in &successes {
         let space = &loaded.space;
-        let index_known_good = strict.is_some() || loaded.label.contains("Rebuild");
+        let index_known_good = strict.is_some() || loaded.index_rebuilt;
         if !space.is_empty() {
             for _ in 0..8 {
                 let id = ConfigId::from_index(rng.gen_range(0..space.len()));

@@ -35,27 +35,26 @@
 //! * **No panic, no hang** — every outcome is a clean `Ok` or a typed
 //!   [`at_store::StoreError`]; a slow iteration beyond the harness bound
 //!   counts as a failure.
-//! * **Peek differential** — [`at_store::peek_info`] (the cheap O(1)-seek
+//! * **Peek differential** — [`at_store::peek_info`] (the cheap O(1)-page
 //!   metadata path used by `cache verify` listings) must never *reject* a
 //!   file the strict reader accepts, and when both accept they must agree
 //!   on every metadata field. Peek may accept damage the strict reader
-//!   rejects (it skips dictionary contents and content checksums), but
-//!   the same truncation or framing damage must classify the same way.
+//!   rejects (it skips the arena and index checksums), but the same
+//!   truncation or framing damage must classify the same way.
 //!
-//! ## Target `atss_load_differential` — mutated valid files, load matrix
+//! ## Target `atss_load_differential` — mutated valid files, both loaders
 //!
 //! Writes a lightly mutated *valid* file to disk and loads it through
-//! [`at_store::StoreReader::load`] under every
-//! `LoadOptions { mode × index }` combination (copy/mmap ×
-//! rebuild/trust/verify). Oracle:
+//! [`at_store::load_space_from_path`] with both loaders
+//! ([`at_store::Load::Verified`] and [`at_store::Load::Trusted`]). Oracle:
 //!
 //! * All successful loads are **code-for-code identical** (same name,
 //!   params, row count, arena bytes) to each other and — when the strict
 //!   reader accepts the file — to the strict read.
 //! * Every successful load answers membership queries **consistently**:
 //!   any id `index_of_codes` returns points back at exactly the queried
-//!   codes, and when the index is known good (policy `Rebuild`, or any
-//!   policy on a file the strict reader fully validated) every present
+//!   codes, and when the index is known good (rebuilt from the arena, or
+//!   adopted from a file the strict reader fully validated) every present
 //!   row is found. A damaged persisted index may surface as a *reported*
 //!   fallback ([`at_store::LoadReport::index_fallback`]), a clean error,
 //!   or a miss — never a misattribution.

@@ -5,11 +5,11 @@
 //! [`SpaceStore::get_or_build`]:
 //!
 //! * **hit** — the file exists, passes validation per the caller's
-//!   [`LoadOptions`] (the default copying load verifies magic, version,
-//!   every checksum and arena/trailer agreement; the zero-copy mmap load
-//!   trades the arena checksum for O(header) serving — see
-//!   [`crate::format::LoadMode`]) and becomes a `SearchSpace` with zero
-//!   re-solving; its mtime is touched so LRU eviction sees the use. A hit
+//!   [`Load`] (the default [`Load::Verified`] copy verifies magic, version,
+//!   every checksum and arena/trailer agreement; the zero-copy
+//!   [`Load::Trusted`] map trades the arena checksum for O(header)
+//!   serving) and becomes a `SearchSpace` with zero re-solving; its mtime
+//!   is touched so LRU eviction sees the use. A hit
 //!   whose persisted `IDX` section is unusable still hits (the index is
 //!   rebuilt from the arena), but the condition is **reported** — in the
 //!   outcome's [`LoadReport`], in the `index_fallbacks` metric — and the
@@ -54,8 +54,8 @@ use at_searchspace::{
 use crate::error::StoreError;
 use crate::fingerprint::SpecFingerprint;
 use crate::format::{
-    peek_info, read_space_from_path, write_space, IndexPolicy, LoadMode, LoadOptions, LoadReport,
-    StoreInfo, StoreReader, StoreWriter,
+    load_space_from_path, peek_info, read_space_from_path, write_space, Load, LoadReport,
+    StoreInfo, StoreWriter,
 };
 
 /// How `get_or_build` satisfied a request.
@@ -359,8 +359,7 @@ impl SpaceStore {
     }
 
     /// Construct or load the space for `spec`, with explicit build options
-    /// and the default [`LoadOptions`] (copying load, sampled index
-    /// verification).
+    /// and the [`Load::Verified`] loader.
     ///
     /// The cache key covers the spec content and the *effective* restriction
     /// lowering (explicit in `options`, or the method's default), so the
@@ -371,13 +370,12 @@ impl SpaceStore {
         method: Method,
         options: BuildOptions,
     ) -> Result<(SearchSpace, StoreOutcome), StoreError> {
-        self.get_or_build_with_options(spec, method, options, LoadOptions::default())
+        self.get_or_build_with_options(spec, method, options, Load::Verified)
     }
 
-    /// Construct or load the space for `spec`, with explicit build *and*
-    /// load options — the full-control entry point: `load` picks the warm
-    /// path (copying vs. zero-copy mmap, index rebuild vs. trust vs.
-    /// sampled verification; see [`LoadOptions`]).
+    /// Construct or load the space for `spec`, with explicit build options
+    /// and loader — the full-control entry point: `load` picks the warm
+    /// path (the verified copy or the trusted zero-copy map; see [`Load`]).
     ///
     /// A warm load whose persisted index section is unusable still hits —
     /// the index is rebuilt from the arena — but the condition is reported
@@ -388,7 +386,7 @@ impl SpaceStore {
         spec: &SearchSpaceSpec,
         method: Method,
         options: BuildOptions,
-        load: LoadOptions,
+        load: Load,
     ) -> Result<(SearchSpace, StoreOutcome), StoreError> {
         let lowering = options
             .lowering
@@ -422,7 +420,7 @@ impl SpaceStore {
         // on *any* content problem.
         if path.exists() {
             let start = Instant::now();
-            match StoreReader::open(&path).and_then(|r| r.load(load)) {
+            match load_space_from_path(&path, load) {
                 Ok(loaded) => {
                     let duration = start.elapsed();
                     touch(&path);
@@ -435,18 +433,12 @@ impl SpaceStore {
                         // over a possibly-rotted arena, laundering the
                         // corruption past every future validation.
                         if loaded.report.is_zero_copy() {
-                            let reverified = StoreReader::open(&path).and_then(|r| {
-                                r.load(LoadOptions {
-                                    mode: LoadMode::Copy,
-                                    index: IndexPolicy::Rebuild,
-                                })
-                            });
-                            if let Ok(verified) = reverified {
+                            if let Ok(verified) = load_space_from_path(&path, Load::Verified) {
                                 let _ = self.rewrite_entry(&verified.space, &path);
                             }
                             // A content error here means the arena itself
                             // is damaged: leave the entry for `verify`/the
-                            // next copying load to catch; the space we
+                            // next verified load to catch; the space we
                             // serve carries the documented mmap trust.
                         } else {
                             let _ = self.rewrite_entry(&loaded.space, &path);
@@ -1123,7 +1115,7 @@ mod tests {
                 &spec,
                 Method::Optimized,
                 BuildOptions::default(),
-                LoadOptions::mmap_trusted(),
+                Load::Trusted,
             )
             .unwrap();
         if cfg!(target_os = "linux") {
@@ -1152,7 +1144,7 @@ mod tests {
                 &spec,
                 Method::Optimized,
                 BuildOptions::default(),
-                LoadOptions::mmap_trusted(),
+                Load::Trusted,
             )
             .unwrap();
         assert!(out.status.is_hit());

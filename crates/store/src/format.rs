@@ -1,13 +1,13 @@
 //! The `ATSS` binary format: reading and writing resolved search spaces.
 //!
-//! See the [crate documentation](crate) for the byte-by-byte layout of both
-//! supported versions. The design constraints, in order:
+//! See the [crate documentation](crate) for the byte-by-byte layout. The
+//! design constraints, in order:
 //!
 //! 1. **Close to the internal representation** (paper Section 4.3.4): the
 //!    configuration arena is written verbatim as little-endian `u32` value
-//!    codes — loading performs no decoding and no re-encoding. Since v2 the
-//!    arena section is 4-byte aligned and the membership table is persisted
-//!    alongside it (`IDX` section), so a trusted warm load can *borrow*
+//!    codes — loading performs no decoding and no re-encoding. The arena
+//!    section is 4-byte aligned and the membership table is persisted
+//!    alongside it (`IDX` section), so the trusted loader can *borrow*
 //!    both straight out of a memory-mapped file: no copy, no table rebuild,
 //!    O(header) work.
 //! 2. **Streamable**: [`StoreWriter`] implements the solver sink interface,
@@ -16,39 +16,35 @@
 //!    trailer, and the index section is written at finish time).
 //! 3. **Self-validating**: magic + version up front, a CRC-32 per metadata
 //!    section (including `IDX`), and a CRC-32 of the arena in the trailer.
-//!    On the copying path any flipped byte or truncation is detected before
-//!    content is adopted; the zero-copy path checks everything except the
-//!    arena checksum (documented per [`LoadMode`]), and a damaged `IDX`
-//!    section always falls back to an index rebuild — reported in the
-//!    [`LoadReport`], and never a wrong lookup (the lookup algorithm
-//!    re-compares arena rows, so a bad table can only miss, not
-//!    misattribute).
+//!    One structural parser serves every reader. The verifying loader
+//!    detects any flipped byte or truncation before content is adopted; the
+//!    trusted loader checks everything except the arena checksum (see
+//!    [`Load`]), and a damaged `IDX` section always falls back to an index
+//!    rebuild — reported in the [`LoadReport`], and never a wrong lookup
+//!    (the lookup algorithm re-compares arena rows, so a bad table can only
+//!    miss, not misattribute).
 
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use at_csp::sink::{RowSink, SolutionSink};
 use at_csp::{CspError, CspResult, Value};
 use at_searchspace::{
-    ArenaStorage, CodeValidation, EncodingSink, IndexVerification, SearchSpace, SpaceError,
-    TunableParameter, INDEX_HASH_VERSION,
+    Adoption, ArenaStorage, EncodingSink, SearchSpace, SpaceError, TunableParameter,
+    INDEX_HASH_VERSION,
 };
 
 use crate::checksum::{crc32, Crc32};
 use crate::error::StoreError;
-use crate::mmap::{MapError, MappedCodes, MappedFile};
+use crate::mmap::{MappedCodes, MappedFile};
 
 /// The four magic bytes every store file starts with.
 pub const MAGIC: [u8; 4] = *b"ATSS";
 
-/// The format version this build writes.
+/// The format version this build writes and reads.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// The oldest format version this build still reads (via the copying
-/// path; v1 files have no alignment rule and no index section).
-pub const MIN_READ_VERSION: u32 = 1;
 
 /// Section tags (4 bytes each).
 const TAG_HEADER: [u8; 4] = *b"HDR\0";
@@ -69,9 +65,6 @@ const TRAILER_LEN: usize = 16;
 /// Flush the pending arena codes to the writer once this many accumulate
 /// (64 KiB of file bytes), so streaming writes stay amortised.
 const FLUSH_CODES: usize = 16 * 1024;
-
-/// How many evenly spaced rows [`IndexPolicy::VerifySampled`] looks up.
-const VERIFY_SAMPLES: usize = 64;
 
 // ---------------------------------------------------------------------------
 // byte-level encoding helpers
@@ -225,7 +218,7 @@ fn params_payload(params: &[TunableParameter]) -> Vec<u8> {
 }
 
 /// Write the file preamble (magic, version, header section, params section,
-/// arena tag + v2 alignment padding). Returns the number of bytes written —
+/// arena tag + alignment padding). Returns the number of bytes written —
 /// which is also the arena's byte offset, guaranteed `% 4 == 0`.
 fn write_preamble<W: Write>(
     out: &mut W,
@@ -239,7 +232,7 @@ fn write_preamble<W: Write>(
     bytes += write_section(out, TAG_PARAMS, &params_payload(params))?;
     out.write_all(&TAG_ARENA)?;
     bytes += 4;
-    // v2 alignment rule: a u32 pad length followed by that many zero bytes,
+    // Alignment rule: a u32 pad length followed by that many zero bytes,
     // chosen so the first arena byte lands on a 4-byte file offset (mmap
     // memory is page-aligned, so file-offset alignment is view alignment).
     let pad = ((4 - ((bytes + 4) % 4)) % 4) as u32;
@@ -468,78 +461,42 @@ impl<W: Write + Send + Sync + 'static> SolutionSink for StoreWriter<W> {
 }
 
 // ---------------------------------------------------------------------------
-// load options and reports
+// loaders and reports
 // ---------------------------------------------------------------------------
 
-/// How the arena bytes are brought into memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoadMode {
-    /// Read the whole file and copy the arena into owned memory. Every
-    /// checksum is verified — this is the fully validating path, and the
-    /// only one for v1 files and big-endian targets.
-    #[default]
-    Copy,
-    /// `mmap(2)` the file and serve the arena (and persisted index slots)
-    /// as borrowed views — zero copy. The arena checksum is **not**
-    /// verified (it would touch every page and defeat the point); the
-    /// `IDX` checksum is still checked before any table is adopted, and
-    /// `cache verify` remains the full-validation tool. Combined with
-    /// [`IndexPolicy::TrustPersisted`] the load is O(header + index
-    /// checksum): even the code-range pass is skipped (decoding stays
-    /// bounds-checked lazily). [`IndexPolicy::Rebuild`] and
-    /// [`IndexPolicy::VerifySampled`] keep the O(arena) code-range pass.
-    /// Falls back to [`LoadMode::Copy`] — recorded in the [`LoadReport`] —
-    /// on non-Linux targets, big-endian targets, unaligned (v1) arenas, or
-    /// mmap failure.
-    Mmap,
-}
-
-/// What to do with the persisted membership table (`IDX` section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexPolicy {
-    /// Ignore any persisted table and rebuild from the arena (the v1
-    /// behavior; always available).
-    Rebuild,
-    /// Adopt the persisted table after its CRC, hash version and
-    /// structural invariants check out — the O(header) trusted path.
-    TrustPersisted,
-    /// Like [`IndexPolicy::TrustPersisted`], plus look up a sample of
-    /// evenly spaced arena rows and require each to be found — a cheap
-    /// screen against a table persisted for a different arena.
-    #[default]
-    VerifySampled,
-}
-
-/// A validated load request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LoadOptions {
-    /// How the arena is materialized.
-    pub mode: LoadMode,
-    /// How the persisted membership table is treated.
-    pub index: IndexPolicy,
-}
-
-impl LoadOptions {
-    /// The zero-copy fast path: mmap the arena, trust the persisted index.
-    pub fn mmap_trusted() -> LoadOptions {
-        LoadOptions {
-            mode: LoadMode::Mmap,
-            index: IndexPolicy::TrustPersisted,
-        }
-    }
+/// Which of the two loaders serves a store file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Load {
+    /// Read the whole file into owned memory and verify everything: every
+    /// checksum (arena included), the O(arena) code-range pass, and sampled
+    /// lookups before the persisted index is adopted. An unusable `IDX`
+    /// section is rebuilt from the arena and *reported* in the
+    /// [`LoadReport`]. This is the `SpaceStore` hit path.
+    Verified,
+    /// `mmap(2)` the file and serve the arena and the persisted index as
+    /// borrowed views — zero copy, O(header) work. The arena checksum and
+    /// the code-range pass are skipped (they would touch every page;
+    /// decoding stays bounds-checked lazily); the `IDX` checksum, hash
+    /// version and structural invariants are still checked before the
+    /// table is adopted, and `cache verify` remains the full-validation
+    /// tool. Falls back to a [`Load::Verified`] copy — reported as
+    /// [`ArenaOutcome::MmapFellBack`] — on non-Linux targets, big-endian
+    /// targets or mmap failure.
+    Trusted,
 }
 
 /// Where the served arena actually came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArenaOutcome {
-    /// Copied into owned memory (requested, or the only possibility).
+    /// Copied into owned memory by the verifying loader.
     Copied,
     /// Served zero-copy from the memory-mapped file.
     MmapZeroCopy,
-    /// Mmap was requested but unavailable; copied instead.
+    /// The trusted loader could not map the file; a verified copy served
+    /// it instead.
     MmapFellBack {
-        /// Why the mapping could not be served (platform, alignment, v1
-        /// file, syscall failure).
+        /// Why the mapping could not be served (platform, byte order,
+        /// syscall failure).
         reason: String,
     },
 }
@@ -547,14 +504,10 @@ pub enum ArenaOutcome {
 /// Where the served membership table actually came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexOutcome {
-    /// Rebuilt from the arena. `persisted_present` records whether the
-    /// file carried an (ignored) `IDX` section.
-    Rebuilt {
-        /// True when the file had an `IDX` section the policy ignored.
-        persisted_present: bool,
-    },
+    /// Rebuilt from the arena: the file carries no `IDX` section.
+    Rebuilt,
     /// The persisted table was adopted. `verified` is true under
-    /// [`IndexPolicy::VerifySampled`].
+    /// [`Load::Verified`].
     Adopted {
         /// Whether sampled row lookups were verified on top of the
         /// structural checks.
@@ -603,12 +556,7 @@ impl LoadReport {
             ArenaOutcome::MmapFellBack { reason } => format!("copied (mmap fell back: {reason})"),
         };
         let index = match &self.index {
-            IndexOutcome::Rebuilt {
-                persisted_present: false,
-            } => "index rebuilt".to_string(),
-            IndexOutcome::Rebuilt {
-                persisted_present: true,
-            } => "index rebuilt (persisted one ignored)".to_string(),
+            IndexOutcome::Rebuilt => "index rebuilt".to_string(),
             IndexOutcome::Adopted { verified: true } => "persisted index verified".to_string(),
             IndexOutcome::Adopted { verified: false } => "persisted index trusted".to_string(),
             IndexOutcome::RebuiltAfterFallback { reason } => {
@@ -645,19 +593,20 @@ pub struct StoreInfo {
     pub num_rows: usize,
     /// Total file size in bytes.
     pub file_bytes: u64,
-    /// The persisted membership table, if the file carries one (v2 files
-    /// written by this build always do; v1 files never do).
+    /// The persisted membership table, if the file carries one (files
+    /// written by this build always do, unless the table's slot count
+    /// overflows the format's `u32` field).
     pub index: Option<IndexInfo>,
 }
 
 /// The structurally validated parts of a store file: every metadata section
 /// parsed and CRC-checked, the arena and optional index located and
 /// length-checked — but the arena CRC and the index payload CRC not yet
-/// verified (the caller decides per [`LoadOptions`]).
+/// verified (each loader decides which it pays for).
 pub(crate) struct ParsedFile<'a> {
     info: StoreInfo,
     params: Vec<TunableParameter>,
-    /// Byte offset of the first arena byte in the file.
+    /// Byte offset of the first arena byte in the file (4-byte aligned).
     pub(crate) arena_offset: usize,
     pub(crate) arena: &'a [u8],
     arena_crc: u32,
@@ -667,8 +616,9 @@ pub(crate) struct ParsedFile<'a> {
 /// The located (framing-validated) `IDX` section.
 struct ParsedIndex<'a> {
     hash_version: u32,
-    /// Byte offset of the first slot byte in the file (4-byte aligned for
-    /// files written by this build).
+    /// Byte offset of the first slot byte in the file (4-byte aligned: the
+    /// arena is aligned, its length is a multiple of 4, and so is the frame
+    /// and payload header in front of the slots).
     slots_offset: usize,
     /// The raw little-endian slot bytes.
     slots: &'a [u8],
@@ -678,13 +628,9 @@ struct ParsedIndex<'a> {
     crc: u32,
 }
 
-impl ParsedIndex<'_> {
-    fn crc_ok(&self) -> bool {
-        crc32(self.payload) == self.crc
-    }
-}
-
-/// Parse and validate everything except the arena and index checksums.
+/// Parse and validate everything except the arena and index checksums —
+/// the one structural parser behind both loaders, the strict reader and
+/// [`peek_info`].
 pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError> {
     // Magic + version.
     if bytes.len() < 8 + TRAILER_LEN {
@@ -702,7 +648,7 @@ pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError
         });
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -748,7 +694,7 @@ pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError
         ));
     }
 
-    // Arena tag (+ v2 alignment padding).
+    // Arena tag + alignment padding.
     if bytes.len() < pos + 4 + TRAILER_LEN {
         return Err(StoreError::corrupt("arena", "file ends before the arena"));
     }
@@ -756,29 +702,27 @@ pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError
         return Err(StoreError::corrupt("arena", "missing arena tag"));
     }
     pos += 4;
-    if version >= 2 {
-        let mut cur = Cursor::new(&bytes[pos..], "arena");
-        let pad = cur.u32()? as usize;
-        if pad > 3 {
-            return Err(StoreError::corrupt(
-                "arena",
-                format!("implausible alignment padding {pad}"),
-            ));
-        }
-        cur.take(pad)?;
-        pos += cur.pos;
-        if !pos.is_multiple_of(4) {
-            return Err(StoreError::corrupt(
-                "arena",
-                "alignment padding does not land the arena on a 4-byte offset",
-            ));
-        }
+    let mut cur = Cursor::new(&bytes[pos..], "arena");
+    let pad = cur.u32()? as usize;
+    if pad > 3 {
+        return Err(StoreError::corrupt(
+            "arena",
+            format!("implausible alignment padding {pad}"),
+        ));
+    }
+    cur.take(pad)?;
+    pos += cur.pos;
+    if !pos.is_multiple_of(4) {
+        return Err(StoreError::corrupt(
+            "arena",
+            "alignment padding does not land the arena on a 4-byte offset",
+        ));
     }
     let arena_offset = pos;
 
     // Trailer (always the last 16 bytes), then slice the arena by the row
     // count it declares; anything between arena end and trailer must be a
-    // well-formed IDX section (v2 only).
+    // well-formed IDX section.
     let trailer_at = bytes.len() - TRAILER_LEN;
     if trailer_at < pos {
         return Err(StoreError::corrupt("trailer", "overlaps the arena"));
@@ -810,21 +754,11 @@ pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError
     let arena = &bytes[pos..pos + arena_len];
     pos += arena_len;
 
-    // Between arena end and trailer: nothing (v1, or v2 without an index)
-    // or exactly one IDX section.
+    // Between arena end and trailer: nothing or exactly one IDX section.
     let idx = if pos == trailer_at {
         None
-    } else if version < 2 {
-        return Err(StoreError::corrupt(
-            "arena",
-            format!(
-                "arena holds {} bytes where {num_rows} rows x {num_params} params need {arena_len}",
-                trailer_at - arena_offset,
-            ),
-        ));
     } else {
-        let section_bytes = &bytes[..trailer_at];
-        let mut cur = Cursor::new(&section_bytes[pos..], "index");
+        let mut cur = Cursor::new(&bytes[pos..trailer_at], "index");
         let tag = cur.take(4)?;
         if tag != TAG_INDEX {
             return Err(StoreError::corrupt("index", "unexpected section tag"));
@@ -833,7 +767,7 @@ pub(crate) fn parse_structure(bytes: &[u8]) -> Result<ParsedFile<'_>, StoreError
         let payload_at = pos + cur.pos;
         let payload = cur.take(payload_len)?;
         let crc = cur.u32()?;
-        if pos + cur.pos != trailer_at {
+        if !cur.done() {
             return Err(StoreError::corrupt(
                 "index",
                 "trailing bytes between the index section and the trailer",
@@ -935,110 +869,12 @@ fn read_section<'a>(
     Ok(payload)
 }
 
-/// Build a space from parsed content, adopting the (already CRC-checked)
-/// persisted index slots when provided, rebuilding otherwise — with a
-/// reported in-place fallback to a rebuild when adoption fails.
-///
-/// `arena` is consumed by the first construction attempt; the rare
-/// fallback path obtains a fresh storage from `remake_arena` (an Arc bump
-/// for mapped views, a re-decode for owned copies), so the hot adopting
-/// path never deep-clones a multi-million-code arena.
-fn assemble(
-    info: &StoreInfo,
-    params: Vec<TunableParameter>,
-    arena: ArenaStorage,
-    idx: Option<(ArenaStorage, bool)>,
-    persisted_present: bool,
-    remake_arena: impl FnOnce() -> ArenaStorage,
-) -> Result<(SearchSpace, IndexOutcome), StoreError> {
-    match idx {
-        Some((slots, verified)) => {
-            // The verifying policy pays the O(arena) code-bounds pass and
-            // sampled lookups; the trusted one is O(header + index): lazy
-            // bounds-checked decoding covers out-of-range codes.
-            let (verification, validation) = if verified {
-                (
-                    IndexVerification::Sampled(VERIFY_SAMPLES),
-                    CodeValidation::Checked,
-                )
-            } else {
-                (IndexVerification::Trusted, CodeValidation::Trusted)
-            };
-            match SearchSpace::from_code_storage_with_index(
-                info.name.clone(),
-                params.clone(),
-                info.num_rows,
-                arena,
-                slots,
-                verification,
-                validation,
-            ) {
-                Ok(space) => Ok((space, IndexOutcome::Adopted { verified })),
-                Err(SpaceError::IndexInvalid { detail }) => {
-                    let space = SearchSpace::from_code_storage(
-                        info.name.clone(),
-                        params,
-                        info.num_rows,
-                        remake_arena(),
-                    )?;
-                    Ok((space, IndexOutcome::RebuiltAfterFallback { reason: detail }))
-                }
-                Err(e) => Err(e.into()),
-            }
-        }
-        None => {
-            let space =
-                SearchSpace::from_code_storage(info.name.clone(), params, info.num_rows, arena)?;
-            Ok((space, IndexOutcome::Rebuilt { persisted_present }))
-        }
-    }
+fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
+    std::fs::read(path).map_err(|e| StoreError::io(path, e))
 }
 
-/// Check the persisted index against the policy, returning the slots to
-/// adopt (owned copy decoded from the payload) or the fallback reason.
-fn usable_index<'a, 'b>(
-    idx: &'a Option<ParsedIndex<'b>>,
-    policy: IndexPolicy,
-) -> Result<Option<&'a ParsedIndex<'b>>, String> {
-    let Some(idx) = idx else {
-        return Ok(None);
-    };
-    if policy == IndexPolicy::Rebuild {
-        return Ok(None);
-    }
-    // CRC first: corruption that happens to land in the hash-version field
-    // must read as "checksum mismatch", not as a version skew (and must
-    // classify identically to the strict reader).
-    if !idx.crc_ok() {
-        return Err("checksum mismatch".to_string());
-    }
-    if idx.hash_version != INDEX_HASH_VERSION {
-        return Err(format!(
-            "row-hash version {} (this build uses {INDEX_HASH_VERSION})",
-            idx.hash_version
-        ));
-    }
-    Ok(Some(idx))
-}
-
-/// A handle to a store file, ready to be loaded with explicit
-/// [`LoadOptions`] (the copying path, or the zero-copy mmap path).
-///
-/// ```no_run
-/// use at_store::{LoadOptions, StoreReader};
-///
-/// let reader = StoreReader::open("space.atss").unwrap();
-/// let loaded = reader.load(LoadOptions::mmap_trusted()).unwrap();
-/// assert!(loaded.report.is_zero_copy());
-/// ```
-#[derive(Debug)]
-pub struct StoreReader {
-    path: std::path::PathBuf,
-    file: File,
-}
-
-/// The result of one [`StoreReader::load`]: the space, the file metadata,
-/// and a report of which paths actually served it.
+/// The result of one [`load_space_from_path`]: the space, the file
+/// metadata, and a report of which paths actually served it.
 #[derive(Debug)]
 pub struct LoadedSpace {
     /// The resolved space.
@@ -1049,493 +885,198 @@ pub struct LoadedSpace {
     pub report: LoadReport,
 }
 
-impl StoreReader {
-    /// Open a store file for loading. The file is only read on
-    /// [`StoreReader::load`] / [`StoreReader::info`].
-    pub fn open(path: impl AsRef<Path>) -> Result<StoreReader, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::open(&path).map_err(|e| StoreError::io(&path, e))?;
-        Ok(StoreReader { path, file })
-    }
-
-    /// The file's metadata (header + trailer + index frame only; the arena
-    /// is not read).
-    pub fn info(&self) -> Result<StoreInfo, StoreError> {
-        peek_info(&self.path)
-    }
-
-    /// Load the space according to `options`. See [`LoadMode`] and
-    /// [`IndexPolicy`] for the exact validation each combination performs,
-    /// and [`LoadReport`] for what actually happened (requested paths fall
-    /// back rather than fail whenever the file itself is sound).
-    pub fn load(&self, options: LoadOptions) -> Result<LoadedSpace, StoreError> {
-        let span = at_obs::span("store-load", "store")
-            .arg("mmap_requested", u64::from(options.mode == LoadMode::Mmap));
-        let loaded = match options.mode {
-            LoadMode::Copy => self.load_copy(options.index, ArenaOutcome::Copied),
-            LoadMode::Mmap => {
-                if cfg!(target_endian = "big") {
-                    self.load_copy(
-                        options.index,
-                        ArenaOutcome::MmapFellBack {
-                            reason: "big-endian target".to_string(),
-                        },
-                    )
-                } else {
-                    match MappedFile::map(&self.file) {
-                        Ok(map) => self.load_mapped(Arc::new(map), options.index),
-                        Err(e) => self.load_copy(
-                            options.index,
-                            ArenaOutcome::MmapFellBack {
-                                reason: e.to_string(),
-                            },
-                        ),
-                    }
-                }
-            }
-        }?;
-        drop(
-            span.arg("rows", loaded.space.len() as u64)
-                .arg("zero_copy", u64::from(loaded.report.is_zero_copy()))
-                .arg(
-                    "index_fallback",
-                    u64::from(loaded.report.index_fallback().is_some()),
-                ),
-        );
-        Ok(loaded)
-    }
-
-    /// The copying load: full read, every checksum verified.
-    fn load_copy(
-        &self,
-        policy: IndexPolicy,
-        arena_outcome: ArenaOutcome,
-    ) -> Result<LoadedSpace, StoreError> {
-        let bytes = std::fs::read(&self.path).map_err(|e| StoreError::io(&self.path, e))?;
-        Self::load_copy_from_bytes(&bytes, policy, arena_outcome)
-    }
-
-    /// The copying load over bytes already in memory (a fresh read, or a
-    /// mapping that cannot be served zero-copy — sparing a second disk
-    /// read on the v1/unaligned fallback).
-    fn load_copy_from_bytes(
-        bytes: &[u8],
-        policy: IndexPolicy,
-        arena_outcome: ArenaOutcome,
-    ) -> Result<LoadedSpace, StoreError> {
-        let parsed = parse_structure(bytes)?;
-        if crc32(parsed.arena) != parsed.arena_crc {
-            return Err(StoreError::corrupt("arena", "checksum mismatch"));
-        }
-        let persisted_present = parsed.idx.is_some();
-        let (idx, fallback) = match usable_index(&parsed.idx, policy) {
-            Ok(Some(idx)) => (
-                Some((
-                    ArenaStorage::from(decode_codes(idx.slots)),
-                    policy == IndexPolicy::VerifySampled,
-                )),
-                None,
-            ),
-            Ok(None) => (None, None),
-            Err(reason) => (None, Some(reason)),
-        };
-        let arena = ArenaStorage::from(decode_codes(parsed.arena));
-        let (space, index_outcome) = assemble(
-            &parsed.info,
-            parsed.params,
-            arena,
-            idx,
-            persisted_present,
-            || ArenaStorage::from(decode_codes(parsed.arena)),
-        )?;
-        let index_outcome = match fallback {
-            Some(reason) => IndexOutcome::RebuiltAfterFallback { reason },
-            None => index_outcome,
-        };
-        Ok(LoadedSpace {
-            space,
-            info: parsed.info,
-            report: LoadReport {
-                arena: arena_outcome,
-                index: index_outcome,
-            },
-        })
-    }
-
-    /// The zero-copy load: parse the mapped bytes, serve the arena (and,
-    /// policy permitting, the index slots) as borrowed views. The arena
-    /// checksum is intentionally not verified here (see [`LoadMode::Mmap`]).
-    fn load_mapped(
-        &self,
-        map: Arc<MappedFile>,
-        policy: IndexPolicy,
-    ) -> Result<LoadedSpace, StoreError> {
-        let parsed = parse_structure(map.bytes())?;
-        if parsed.info.version < 2 || !parsed.arena_offset.is_multiple_of(4) {
-            let reason = if parsed.info.version < 2 {
-                "v1 file (no alignment rule)".to_string()
+/// Load a store file with one of the two loaders. See [`Load`] for the
+/// validation each performs, and the returned [`LoadReport`] for what
+/// actually happened: a sound file is always served — an unusable index or
+/// an unavailable mapping falls back and is reported, never an error.
+///
+/// ```no_run
+/// use at_store::{load_space_from_path, Load};
+///
+/// let loaded = load_space_from_path("space.atss", Load::Trusted).unwrap();
+/// assert!(loaded.report.is_zero_copy());
+/// ```
+pub fn load_space_from_path(path: impl AsRef<Path>, load: Load) -> Result<LoadedSpace, StoreError> {
+    let path = path.as_ref();
+    let span =
+        at_obs::span("store-load", "store").arg("mmap_requested", u64::from(load == Load::Trusted));
+    let loaded = match load {
+        Load::Verified => load_verified(&read_file(path)?, ArenaOutcome::Copied),
+        Load::Trusted => {
+            let file = File::open(path).map_err(|e| StoreError::io(path, e))?;
+            let mapped = if cfg!(target_endian = "big") {
+                Err("big-endian target".to_string())
             } else {
-                "unaligned arena".to_string()
+                MappedFile::map(&file).map_err(|e| e.to_string())
             };
-            drop(parsed);
-            // The bytes are already mapped: copy out of the mapping
-            // instead of reading the file a second time.
-            return Self::load_copy_from_bytes(
-                map.bytes(),
-                policy,
-                ArenaOutcome::MmapFellBack { reason },
-            );
-        }
-        let persisted_present = parsed.idx.is_some();
-        let (idx, fallback) = match usable_index(&parsed.idx, policy) {
-            Ok(Some(idx)) => {
-                match MappedCodes::new(Arc::clone(&map), idx.slots_offset, idx.slots.len()) {
-                    Ok(view) => (
-                        Some((
-                            ArenaStorage::Shared(Arc::new(view)),
-                            policy == IndexPolicy::VerifySampled,
-                        )),
-                        None,
-                    ),
-                    Err(MapError::BadRange { .. }) => {
-                        (None, Some("index slots are not 4-byte aligned".to_string()))
-                    }
-                    Err(e) => (None, Some(e.to_string())),
+            match mapped {
+                Ok(map) => load_trusted(Arc::new(map)),
+                Err(reason) => {
+                    load_verified(&read_file(path)?, ArenaOutcome::MmapFellBack { reason })
                 }
             }
-            Ok(None) => (None, None),
-            Err(reason) => (None, Some(reason)),
-        };
-        let arena_view =
-            MappedCodes::new(Arc::clone(&map), parsed.arena_offset, parsed.arena.len())
-                .map_err(|e| StoreError::corrupt("arena", e.to_string()))?;
-        let arena = ArenaStorage::Shared(Arc::new(arena_view.clone()));
-        let (space, index_outcome) = assemble(
-            &parsed.info,
-            parsed.params,
-            arena,
-            idx,
-            persisted_present,
-            || ArenaStorage::Shared(Arc::new(arena_view)),
-        )?;
-        let index_outcome = match fallback {
-            Some(reason) => IndexOutcome::RebuiltAfterFallback { reason },
-            None => index_outcome,
-        };
-        let info = parsed.info;
-        Ok(LoadedSpace {
-            space,
-            info,
-            report: LoadReport {
-                arena: ArenaOutcome::MmapZeroCopy,
-                index: index_outcome,
-            },
-        })
+        }
+    }?;
+    drop(
+        span.arg("rows", loaded.space.len() as u64)
+            .arg("zero_copy", u64::from(loaded.report.is_zero_copy()))
+            .arg(
+                "index_fallback",
+                u64::from(loaded.report.index_fallback().is_some()),
+            ),
+    );
+    Ok(loaded)
+}
+
+/// The [`Load::Verified`] loader over a file's bytes.
+fn load_verified(bytes: &[u8], arena_outcome: ArenaOutcome) -> Result<LoadedSpace, StoreError> {
+    let parsed = parse_structure(bytes)?;
+    if crc32(parsed.arena) != parsed.arena_crc {
+        return Err(StoreError::corrupt("arena", "checksum mismatch"));
     }
+    let arena = parsed.arena;
+    assemble(
+        parsed,
+        Adoption::Verified,
+        arena_outcome,
+        || ArenaStorage::from(decode_codes(arena)),
+        |idx| Ok(ArenaStorage::from(decode_codes(idx.slots))),
+    )
 }
 
-/// Load a store file with explicit [`LoadOptions`] in one call.
-pub fn load_space_from_path(
-    path: impl AsRef<Path>,
-    options: LoadOptions,
+/// The [`Load::Trusted`] loader over a mapped file: the arena and index
+/// slots are served as borrowed views of the mapping.
+fn load_trusted(map: Arc<MappedFile>) -> Result<LoadedSpace, StoreError> {
+    let parsed = parse_structure(map.bytes())?;
+    let arena = MappedCodes::new(Arc::clone(&map), parsed.arena_offset, parsed.arena.len())
+        .map_err(|e| StoreError::corrupt("arena", e.to_string()))?;
+    assemble(
+        parsed,
+        Adoption::Trusted,
+        ArenaOutcome::MmapZeroCopy,
+        || ArenaStorage::Shared(Arc::new(arena.clone())),
+        |idx| {
+            MappedCodes::new(Arc::clone(&map), idx.slots_offset, idx.slots.len())
+                .map(|view| ArenaStorage::Shared(Arc::new(view)))
+                .map_err(|e| e.to_string())
+        },
+    )
+}
+
+/// Build the space over the loader's arena, adopting the persisted index
+/// when it is usable and rebuilding it from the arena — reported — when it
+/// is not.
+///
+/// `arena` is called once, or twice on a fallback (the adoption attempt
+/// consumes its storage): an `Arc` bump for mapped views, a re-decode for
+/// owned copies, so the adopting path never deep-clones the arena.
+fn assemble<'a>(
+    parsed: ParsedFile<'a>,
+    adoption: Adoption,
+    arena_outcome: ArenaOutcome,
+    arena: impl Fn() -> ArenaStorage,
+    slots: impl FnOnce(&ParsedIndex<'a>) -> Result<ArenaStorage, String>,
 ) -> Result<LoadedSpace, StoreError> {
-    StoreReader::open(path)?.load(options)
+    let ParsedFile {
+        info, params, idx, ..
+    } = parsed;
+    let adopted = match &idx {
+        None => Err(None),
+        Some(idx) => match check_index(idx).and_then(|()| slots(idx)) {
+            Err(reason) => Err(Some(reason)),
+            Ok(slots) => match SearchSpace::from_code_storage_with_index(
+                info.name.clone(),
+                params.clone(),
+                info.num_rows,
+                arena(),
+                slots,
+                adoption,
+            ) {
+                Ok(space) => Ok(space),
+                Err(SpaceError::IndexInvalid { detail }) => Err(Some(detail)),
+                Err(e) => return Err(e.into()),
+            },
+        },
+    };
+    let (space, index) = match adopted {
+        Ok(space) => (
+            space,
+            IndexOutcome::Adopted {
+                verified: adoption == Adoption::Verified,
+            },
+        ),
+        Err(fallback) => (
+            SearchSpace::from_code_storage(info.name.clone(), params, info.num_rows, arena())?,
+            match fallback {
+                Some(reason) => IndexOutcome::RebuiltAfterFallback { reason },
+                None => IndexOutcome::Rebuilt,
+            },
+        ),
+    };
+    Ok(LoadedSpace {
+        space,
+        info,
+        report: LoadReport {
+            arena: arena_outcome,
+            index,
+        },
+    })
 }
 
-/// Arenas at least this large verify their checksum on a helper thread,
-/// overlapped with the index build (below it, the thread spawn would cost
-/// more than the overlap saves).
-const PARALLEL_CRC_BYTES: usize = 2 << 20;
+/// The checks a persisted index passes before either loader adopts it;
+/// the error is the fallback reason. CRC first: corruption that happens to
+/// land in the hash-version field must read as "checksum mismatch", not as
+/// a version skew.
+fn check_index(idx: &ParsedIndex<'_>) -> Result<(), String> {
+    if crc32(idx.payload) != idx.crc {
+        return Err("checksum mismatch".to_string());
+    }
+    if idx.hash_version != INDEX_HASH_VERSION {
+        return Err(format!(
+            "row-hash version {} (this build uses {INDEX_HASH_VERSION})",
+            idx.hash_version
+        ));
+    }
+    Ok(())
+}
 
 /// Validate and rebuild a space from an in-memory store file in one call.
 ///
-/// This is the **strict** entry point: every checksum in the file must
-/// verify — arena, metadata sections, and the `IDX` section when present
-/// (whose table must also pass adoption with sampled verification). Any
-/// mismatch is an error, never a silent fallback; the cache layer maps
-/// such errors to a rebuild. For policy-driven loading (zero-copy, index
-/// trust levels, reported fallbacks) use [`StoreReader::load`].
-///
-/// When no index section is present and the arena is large, the arena
-/// checksum is verified on a scoped helper thread *while* the main thread
-/// decodes the codes and builds the membership table — the two dominate
-/// that load shape and are independent. The space is only returned when
-/// both succeed, so a corrupt file is never served; it merely wastes the
-/// (discarded) speculative index build.
+/// This is the **strict** entry point: a [`Load::Verified`] load in which
+/// an unusable `IDX` section is an error rather than a reported rebuild, so
+/// every checksum in the file must verify. The cache layer maps any content
+/// error to a rebuild of the entry.
 pub fn read_space_from_bytes(bytes: &[u8]) -> Result<(SearchSpace, StoreInfo), StoreError> {
-    let parsed = parse_structure(bytes)?;
-
-    // A present index must be fully sound in the strict reader.
-    if let Some(idx) = &parsed.idx {
-        if !idx.crc_ok() {
-            return Err(StoreError::corrupt("index", "checksum mismatch"));
-        }
-        if idx.hash_version != INDEX_HASH_VERSION {
-            return Err(StoreError::corrupt(
-                "index",
-                format!(
-                    "row-hash version {} (this build uses {INDEX_HASH_VERSION})",
-                    idx.hash_version
-                ),
-            ));
-        }
-        if crc32(parsed.arena) != parsed.arena_crc {
-            return Err(StoreError::corrupt("arena", "checksum mismatch"));
-        }
-        let space = SearchSpace::from_code_storage_with_index(
-            parsed.info.name.clone(),
-            parsed.params,
-            parsed.info.num_rows,
-            ArenaStorage::from(decode_codes(parsed.arena)),
-            ArenaStorage::from(decode_codes(idx.slots)),
-            IndexVerification::Sampled(VERIFY_SAMPLES),
-            CodeValidation::Checked,
-        )
-        .map_err(|e| match e {
-            SpaceError::IndexInvalid { detail } => StoreError::corrupt("index", detail),
-            other => other.into(),
-        })?;
-        return Ok((space, parsed.info));
+    let loaded = load_verified(bytes, ArenaOutcome::Copied)?;
+    if let Some(reason) = loaded.report.index_fallback() {
+        return Err(StoreError::corrupt("index", reason));
     }
-
-    let multicore = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    if !multicore || parsed.arena.len() < PARALLEL_CRC_BYTES {
-        if crc32(parsed.arena) != parsed.arena_crc {
-            return Err(StoreError::corrupt("arena", "checksum mismatch"));
-        }
-        let codes = decode_codes(parsed.arena);
-        let space = SearchSpace::from_code_rows(
-            parsed.info.name.clone(),
-            parsed.params,
-            parsed.info.num_rows,
-            codes,
-        )?;
-        return Ok((space, parsed.info));
-    }
-    let ParsedFile {
-        info,
-        params,
-        arena,
-        arena_crc,
-        ..
-    } = parsed;
-    let (crc_ok, space) = std::thread::scope(|scope| {
-        let checker = scope.spawn(move || crc32(arena) == arena_crc);
-        let codes = decode_codes(arena);
-        let space = SearchSpace::from_code_rows(info.name.clone(), params, info.num_rows, codes);
-        (checker.join().expect("checksum thread"), space)
-    });
-    if !crc_ok {
-        return Err(StoreError::corrupt("arena", "checksum mismatch"));
-    }
-    Ok((space?, info))
+    Ok((loaded.space, loaded.info))
 }
 
 /// Read, validate and rebuild a space from a store file in one call (the
-/// strict copying path; see [`read_space_from_bytes`]).
+/// strict reader; see [`read_space_from_bytes`]).
 pub fn read_space_from_path(
     path: impl AsRef<Path>,
 ) -> Result<(SearchSpace, StoreInfo), StoreError> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
-    read_space_from_bytes(&bytes)
+    read_space_from_bytes(&read_file(path.as_ref())?)
 }
 
-/// Read a store file's metadata without loading or validating the arena —
-/// the cheap path for listing a cache directory. The header section's CRC
-/// *is* verified, and the `IDX` section's frame (tag, version, slot count)
-/// is located via O(1) seeks; the arena and index checksums are not
-/// checked (use [`read_space_from_bytes`] for a full verification).
+/// Read a store file's metadata without loading the arena — the cheap
+/// path for listing a cache directory. The file is mapped (read where
+/// mapping is unavailable) and run through the same structural parser as
+/// every load, so the header and params checksums are verified and the
+/// `IDX` frame is located, but only O(1) pages are touched: the arena and
+/// index checksums are not checked (use [`read_space_from_bytes`] for a
+/// full verification). Mapping is safe because cache entries are only ever
+/// replaced by rename, never truncated in place.
 pub fn peek_info(path: impl AsRef<Path>) -> Result<StoreInfo, StoreError> {
     let path = path.as_ref();
-    let mut file = File::open(path).map_err(|e| StoreError::io(path, e))?;
-    let file_bytes = file.metadata().map_err(|e| StoreError::io(path, e))?.len();
-
-    let mut head = [0u8; 8 + 12];
-    file.read_exact(&mut head)
-        .map_err(|_| StoreError::corrupt("header", "file too short"))?;
-    if head[0..4] != MAGIC {
-        return Err(StoreError::BadMagic {
-            found: head[0..4].try_into().expect("4 bytes"),
-        });
+    let file = File::open(path).map_err(|e| StoreError::io(path, e))?;
+    match MappedFile::map(&file) {
+        Ok(map) => Ok(parse_structure(map.bytes())?.info),
+        Err(_) => Ok(parse_structure(&read_file(path)?)?.info),
     }
-    let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-    if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    if head[8..12] != TAG_HEADER {
-        return Err(StoreError::corrupt("header", "missing header tag"));
-    }
-    let hdr_len = u64::from_le_bytes(head[12..20].try_into().expect("8 bytes")) as usize;
-    if hdr_len > 1 << 20 {
-        return Err(StoreError::corrupt("header", "implausible header length"));
-    }
-    let mut payload = vec![0u8; hdr_len + 4];
-    file.read_exact(&mut payload)
-        .map_err(|_| StoreError::corrupt("header", "file ends inside the header"))?;
-    let (payload, crc_bytes) = payload.split_at(hdr_len);
-    if crc32(payload) != u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) {
-        return Err(StoreError::corrupt("header", "checksum mismatch"));
-    }
-    let mut cur = Cursor::new(payload, "header");
-    let name = cur.str()?;
-    let num_params = cur.u32()? as usize;
-    if !cur.done() {
-        return Err(StoreError::corrupt("header", "trailing bytes after header"));
-    }
-
-    // The header read above guarantees `file_bytes >= 20 > TRAILER_LEN`.
-    let trailer_at = file_bytes - TRAILER_LEN as u64;
-    file.seek(SeekFrom::Start(trailer_at))
-        .map_err(|e| StoreError::io(path, e))?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    file.read_exact(&mut trailer)
-        .map_err(|_| StoreError::corrupt("trailer", "file too short"))?;
-    if trailer[0..4] != TAG_END {
-        return Err(StoreError::corrupt(
-            "trailer",
-            "missing end tag (file truncated or construction crashed mid-write)",
-        ));
-    }
-    let num_rows = u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes")) as usize;
-
-    // Walk the remaining section frames with O(1) seeks — the same exact
-    // accounting as `parse_structure`, just without reading the payloads.
-    // Every offset is computed with checked arithmetic: all frame lengths
-    // and the trailer's row count are attacker-controlled, and an
-    // overflowing sum must become a clean corruption error, not a panic or
-    // a wrapped-around seek.
-    let too_short = |section: &'static str| {
-        StoreError::corrupt(section, format!("file ends before the {section} section"))
-    };
-    let par_at = 8 + 12 + hdr_len as u64 + 4; // hdr_len is capped above
-    file.seek(SeekFrom::Start(par_at))
-        .map_err(|e| StoreError::io(path, e))?;
-    let mut frame = [0u8; 12];
-    file.read_exact(&mut frame)
-        .map_err(|_| StoreError::corrupt("params", "file ends inside the params frame"))?;
-    if frame[0..4] != TAG_PARAMS {
-        return Err(StoreError::corrupt("params", "missing params tag"));
-    }
-    let par_len = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-    let arena_tag_at = par_at
-        .checked_add(12)
-        .and_then(|v| v.checked_add(par_len))
-        .and_then(|v| v.checked_add(4))
-        .filter(|&v| v <= trailer_at)
-        .ok_or_else(|| too_short("arena"))?;
-    file.seek(SeekFrom::Start(arena_tag_at))
-        .map_err(|e| StoreError::io(path, e))?;
-    let arena_at = if version >= 2 {
-        let mut arn = [0u8; 8];
-        file.read_exact(&mut arn)
-            .map_err(|_| StoreError::corrupt("arena", "file ends inside the arena frame"))?;
-        if arn[0..4] != TAG_ARENA {
-            return Err(StoreError::corrupt("arena", "missing arena tag"));
-        }
-        let pad = u32::from_le_bytes(arn[4..8].try_into().expect("4 bytes")) as u64;
-        if pad > 3 {
-            return Err(StoreError::corrupt(
-                "arena",
-                format!("implausible alignment padding {pad}"),
-            ));
-        }
-        let at = arena_tag_at
-            .checked_add(8 + pad)
-            .filter(|&v| v <= trailer_at)
-            .ok_or_else(|| too_short("arena"))?;
-        if !at.is_multiple_of(4) {
-            return Err(StoreError::corrupt(
-                "arena",
-                "alignment padding does not land the arena on a 4-byte offset",
-            ));
-        }
-        at
-    } else {
-        let mut arn = [0u8; 4];
-        file.read_exact(&mut arn)
-            .map_err(|_| StoreError::corrupt("arena", "file ends inside the arena frame"))?;
-        if arn != TAG_ARENA {
-            return Err(StoreError::corrupt("arena", "missing arena tag"));
-        }
-        arena_tag_at
-            .checked_add(4)
-            .filter(|&v| v <= trailer_at)
-            .ok_or_else(|| too_short("arena"))?
-    };
-    let arena_len = (num_rows as u64)
-        .checked_mul(num_params as u64)
-        .and_then(|c| c.checked_mul(4))
-        .ok_or_else(|| StoreError::corrupt("arena", "arena size overflows"))?;
-    let after_arena = arena_at
-        .checked_add(arena_len)
-        .filter(|&v| v <= trailer_at)
-        .ok_or_else(|| {
-            StoreError::corrupt(
-                "arena",
-                format!(
-                    "{} bytes before the trailer cannot hold {num_rows} rows x {num_params} params",
-                    trailer_at.saturating_sub(arena_at),
-                ),
-            )
-        })?;
-
-    // Between arena end and trailer: nothing (v1, or v2 without an index)
-    // or exactly one IDX section — the same rule `parse_structure` applies.
-    let mut index = None;
-    if after_arena < trailer_at {
-        if version < 2 {
-            return Err(StoreError::corrupt(
-                "arena",
-                format!(
-                    "arena holds {} bytes where {num_rows} rows x {num_params} params need {arena_len}",
-                    trailer_at - arena_at,
-                ),
-            ));
-        }
-        file.seek(SeekFrom::Start(after_arena))
-            .map_err(|e| StoreError::io(path, e))?;
-        let mut frame = [0u8; 4 + 8 + 8];
-        file.read_exact(&mut frame)
-            .map_err(|_| StoreError::corrupt("index", "file ends inside the index frame"))?;
-        if frame[0..4] != TAG_INDEX {
-            return Err(StoreError::corrupt("index", "unexpected section tag"));
-        }
-        let payload_len = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-        let idx_end = after_arena
-            .checked_add(4 + 8 + 4)
-            .and_then(|v| v.checked_add(payload_len));
-        if idx_end != Some(trailer_at) {
-            return Err(StoreError::corrupt(
-                "index",
-                "trailing bytes between the index section and the trailer",
-            ));
-        }
-        let hash_version = u32::from_le_bytes(frame[12..16].try_into().expect("4 bytes"));
-        let num_slots = u32::from_le_bytes(frame[16..20].try_into().expect("4 bytes")) as usize;
-        if payload_len != 8 + num_slots as u64 * 4 {
-            return Err(StoreError::corrupt(
-                "index",
-                "payload length does not match the slot count",
-            ));
-        }
-        index = Some(IndexInfo {
-            hash_version,
-            num_slots,
-        });
-    }
-
-    Ok(StoreInfo {
-        version,
-        name,
-        num_params,
-        num_rows,
-        file_bytes,
-        index,
-    })
 }
 
 #[cfg(test)]
@@ -1780,8 +1321,6 @@ mod tests {
         let index = info.index.expect("index frame located");
         assert_eq!(index.hash_version, INDEX_HASH_VERSION);
         assert_eq!(index.num_slots, space.index_slots().len());
-        let full = StoreReader::open(&path).unwrap();
-        assert_eq!(full.info().unwrap(), info);
         let (_, read_info) = read_space_from_path(&path).unwrap();
         assert_eq!(read_info, info);
     }
@@ -1790,8 +1329,8 @@ mod tests {
     /// secondary oracle): whenever the cheap peek rejects a file, the
     /// strict reader must reject it too, and when both accept, the
     /// metadata must be identical. Peek may accept files the strict
-    /// reader rejects (it skips the param dictionaries and all content
-    /// checksums), but never the other way around.
+    /// reader rejects (it skips the arena and index checksums), but never
+    /// the other way around.
     fn assert_peek_not_stricter(bytes: &[u8], tag: &str, what: &str) {
         let path = temp_path(&format!("peek-diff-{tag}.atss"));
         std::fs::write(&path, bytes).unwrap();
@@ -1830,6 +1369,24 @@ mod tests {
             flipped[i] ^= 0x40;
             assert_peek_not_stricter(&flipped, "flip", &format!("flip at byte {i}"));
         }
+        // Peek runs the full structural parser, so a flipped PARAMS
+        // payload byte (after magic, version, the framed HEADER section
+        // and the PARAMS tag and length) fails its checksum.
+        let header_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        let params_payload_at = 8 + 4 + 8 + header_len + 4 + 4 + 8;
+        bytes[params_payload_at] ^= 0x40;
+        let path = temp_path("peek-params.atss");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(
+            matches!(
+                peek_info(&path),
+                Err(StoreError::Corrupt {
+                    section: "params",
+                    ..
+                })
+            ),
+            "peek accepted a damaged PARAMS section"
+        );
     }
 
     #[test]
@@ -1853,59 +1410,29 @@ mod tests {
     }
 
     #[test]
-    fn peek_rejects_stray_bytes_between_arena_and_trailer_in_v1() {
-        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../tests/fixtures/v1-small.atss");
-        let bytes = std::fs::read(fixture).unwrap();
-        assert_peek_not_stricter(&bytes, "v1", "pristine v1 fixture");
-        // Splice a stray byte in front of the trailer: v1 has no index
-        // section, so the gap must be rejected by both readers.
-        let mut padded = bytes.clone();
-        padded.insert(bytes.len() - TRAILER_LEN, 0);
-        assert_peek_not_stricter(&padded, "v1-stray", "v1 file with a stray pre-trailer byte");
-        let path = temp_path("peek-v1-stray.atss");
-        std::fs::write(&path, &padded).unwrap();
-        assert!(peek_info(&path).is_err(), "stray byte accepted by peek");
-    }
-
-    #[test]
-    fn load_options_cover_the_matrix() {
-        let path = temp_path("matrix.atss");
+    fn both_loaders_serve_the_space_and_report_it() {
+        let path = temp_path("loaders.atss");
         let space = small_space();
         write_space_to_path(&space, &path).unwrap();
-        let reader = StoreReader::open(&path).unwrap();
-        for mode in [LoadMode::Copy, LoadMode::Mmap] {
-            for index in [
-                IndexPolicy::Rebuild,
-                IndexPolicy::TrustPersisted,
-                IndexPolicy::VerifySampled,
-            ] {
-                let loaded = reader.load(LoadOptions { mode, index }).unwrap();
-                spaces_identical(&space, &loaded.space);
-                match index {
-                    IndexPolicy::Rebuild => assert_eq!(
-                        loaded.report.index,
-                        IndexOutcome::Rebuilt {
-                            persisted_present: true
-                        }
-                    ),
-                    IndexPolicy::TrustPersisted => assert_eq!(
-                        loaded.report.index,
-                        IndexOutcome::Adopted { verified: false }
-                    ),
-                    IndexPolicy::VerifySampled => assert_eq!(
-                        loaded.report.index,
-                        IndexOutcome::Adopted { verified: true }
-                    ),
-                }
-                if mode == LoadMode::Mmap && cfg!(target_os = "linux") {
-                    assert!(loaded.report.is_zero_copy(), "{:?}", loaded.report);
-                    assert!(loaded.space.is_zero_copy());
-                } else if mode == LoadMode::Copy {
-                    assert_eq!(loaded.report.arena, ArenaOutcome::Copied);
-                    assert!(!loaded.space.is_zero_copy());
-                }
-            }
+
+        let verified = load_space_from_path(&path, Load::Verified).unwrap();
+        spaces_identical(&space, &verified.space);
+        assert_eq!(verified.report.arena, ArenaOutcome::Copied);
+        assert_eq!(
+            verified.report.index,
+            IndexOutcome::Adopted { verified: true }
+        );
+        assert!(!verified.space.is_zero_copy());
+
+        let trusted = load_space_from_path(&path, Load::Trusted).unwrap();
+        spaces_identical(&space, &trusted.space);
+        if cfg!(all(target_os = "linux", target_endian = "little")) {
+            assert!(trusted.report.is_zero_copy(), "{:?}", trusted.report);
+            assert!(trusted.space.is_zero_copy());
+            assert_eq!(
+                trusted.report.index,
+                IndexOutcome::Adopted { verified: false }
+            );
         }
     }
 
@@ -1924,15 +1451,9 @@ mod tests {
         // Strict reader: hard error.
         assert!(read_space_from_bytes(&bytes).is_err());
 
-        // Policy reader: clean fallback, reported — and identical answers.
-        for mode in [LoadMode::Copy, LoadMode::Mmap] {
-            let loaded = StoreReader::open(&path)
-                .unwrap()
-                .load(LoadOptions {
-                    mode,
-                    index: IndexPolicy::VerifySampled,
-                })
-                .unwrap();
+        // Both loaders: clean fallback, reported — and identical answers.
+        for load in [Load::Verified, Load::Trusted] {
+            let loaded = load_space_from_path(&path, load).unwrap();
             let reason = loaded
                 .report
                 .index_fallback()
@@ -1961,7 +1482,7 @@ mod tests {
         assert!(read_space_from_bytes(&bytes).is_err(), "strict reader");
         let path = temp_path("hashver.atss");
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = load_space_from_path(&path, LoadOptions::default()).unwrap();
+        let loaded = load_space_from_path(&path, Load::Verified).unwrap();
         let reason = loaded.report.index_fallback().unwrap();
         assert!(reason.contains("hash version"), "{reason}");
         spaces_identical(&space, &loaded.space);

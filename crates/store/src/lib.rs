@@ -7,20 +7,21 @@
 //! [`SearchSpace`](at_searchspace::SearchSpace) is persisted as its
 //! columnar `u32` code arena **verbatim** plus its membership table (the
 //! `ATSS` format, v2), so a space is solved *once* and every later process
-//! serves it with no re-solving and no re-encoding. The copying load
-//! rebuilds nothing but the in-memory buffers; the `mmap(2)` load with a
-//! trusted persisted index borrows both the arena and the table straight
-//! out of the page cache — O(header) work, one resident copy shared by
-//! every process that maps the same entry.
+//! serves it with no re-solving and no re-encoding. The verified load
+//! rebuilds nothing but the in-memory buffers; the trusted `mmap(2)` load
+//! borrows both the arena and the table straight out of the page cache —
+//! O(header) work, one resident copy shared by every process that maps the
+//! same entry.
 //!
 //! Three layers:
 //!
-//! * [`StoreWriter`] / [`StoreReader`] / [`write_space`] — the `ATSS` file
-//!   format. `StoreWriter` implements the solver sink interface
+//! * [`StoreWriter`] / [`write_space`] / [`load_space_from_path`] — the
+//!   `ATSS` file format. `StoreWriter` implements the solver sink interface
 //!   ([`at_csp::sink::SolutionSink`]), so a space is persisted *while* it
-//!   is constructed; [`StoreReader::load`] takes [`LoadOptions`]
-//!   (copying vs. zero-copy mmap × index rebuild / trust / sampled
-//!   verification) and returns a [`LoadReport`] of what actually happened.
+//!   is constructed; [`load_space_from_path`] takes one of the two loaders
+//!   ([`Load::Verified`] or [`Load::Trusted`]) and returns a [`LoadReport`]
+//!   of what actually happened. One structural parser sits behind both
+//!   loaders, the strict [`read_space_from_path`] and [`peek_info`].
 //! * [`mmap`] — the hand-rolled `mmap(2)` wrapper behind the zero-copy
 //!   path (Linux FFI against the already-linked C library; owned-copy
 //!   fallback elsewhere).
@@ -63,13 +64,14 @@
 //! its payload: `0x01` + `i64` (int), `0x02` + IEEE-754 bit pattern as
 //! `u64` (float), `0x03` + `0x00`/`0x01` (bool), `0x04` + string (str).
 //!
-//! This build writes **version 2** and reads versions 1 and 2. The v2
-//! layout (differences from v1 are marked `v2:`):
+//! This build writes and reads **version 2**; any other version is an
+//! [`StoreError::UnsupportedVersion`], which the cache treats like any
+//! other damage and rebuilds. The layout:
 //!
 //! ```text
 //! offset   size  field
 //! 0        4     magic, the ASCII bytes "ATSS"
-//! 4        4     format version, u32 (1 or 2)
+//! 4        4     format version, u32 (2)
 //!
 //! --- HEADER section -------------------------------------------------------
 //! 8        4     section tag "HDR\0"
@@ -91,18 +93,17 @@
 //!
 //! --- ARENA section --------------------------------------------------------
 //! .        4     section tag "ARN\0"
-//! .        4     v2: pad length p, u32 (0..=3)
-//! .        p     v2: p zero bytes, chosen so the next offset is a
-//!                multiple of 4 — the *alignment rule* that makes a
-//!                `&[u32]` view over the mmapped file valid (mmap memory
-//!                is page-aligned, so file-offset alignment is pointer
-//!                alignment). v1 has neither field and no alignment
-//!                guarantee, which is why v1 files always load by copy.
+//! .        4     pad length p, u32 (0..=3)
+//! .        p     p zero bytes, chosen so the next offset is a multiple
+//!                of 4 — the *alignment rule* that makes a `&[u32]` view
+//!                over the mmapped file valid (mmap memory is
+//!                page-aligned, so file-offset alignment is pointer
+//!                alignment)
 //! .        N*S*4 the configuration arena, verbatim: N rows x S params of
 //!                u32 value codes, row-major, declaration order — exactly
 //!                the in-memory layout of `SearchSpace::arena()`
 //!
-//! --- INDEX section (v2, optional — present in files this build writes) ----
+//! --- INDEX section (optional — present in files this build writes) --------
 //! .        4     section tag "IDX\0"
 //! .        8     payload length, u64 (= 8 + num_slots*4)
 //! .        4     row-hash version, u32: the version of the row-hash
@@ -131,19 +132,28 @@
 //! section CRC, every arena byte by the trailer CRC, every index byte by
 //! the `IDX` CRC.
 //!
-//! # Trust policy of the zero-copy path
+//! # Trust policy: two loaders
 //!
-//! [`StoreReader::load`] takes [`LoadOptions`]: `mode` picks copying
-//! (every checksum verified) or mmap (zero copy; the arena checksum is
-//! *not* read — it would fault in every page), and `index` picks how the
-//! persisted table is treated ([`IndexPolicy::Rebuild`] /
-//! [`IndexPolicy::TrustPersisted`] / [`IndexPolicy::VerifySampled`]).
-//! Whatever the policy, the `IDX` checksum, hash version and structural
-//! invariants are verified before a single lookup goes through a persisted
-//! table, and an unusable table falls back to a rebuild that is **reported**
-//! in the returned [`LoadReport`] (and counted by `SpaceStore` metrics) —
-//! while the lookup algorithm itself re-compares arena rows, so even a
+//! [`load_space_from_path`] takes a [`Load`]:
+//!
+//! * [`Load::Verified`] copies the file into owned memory and verifies
+//!   everything — every checksum, the O(arena) code-range pass, and
+//!   sampled lookups before the persisted table is adopted. It serves
+//!   every `SpaceStore` hit by default.
+//! * [`Load::Trusted`] maps the file and borrows the arena and the table
+//!   zero-copy — O(header) work. The arena checksum is *not* read (it
+//!   would fault in every page); the producer (a `SpaceStore` write, or a
+//!   daemon that validated the entry once) vouches for it. Where mapping
+//!   is unavailable it falls back to a reported verified copy.
+//!
+//! Under both, the `IDX` checksum, hash version and structural invariants
+//! are verified before a single lookup goes through a persisted table, and
+//! an unusable table falls back to a rebuild that is **reported** in the
+//! returned [`LoadReport`] (and counted by `SpaceStore` metrics) — while
+//! the lookup algorithm itself re-compares arena rows, so even a
 //! semantically wrong table can only miss a row, never misattribute one.
+//! The strict [`read_space_from_path`] is the verified load with an
+//! unusable table turned into an error.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -163,8 +173,7 @@ pub use error::StoreError;
 pub use fingerprint::SpecFingerprint;
 pub use format::{
     load_space_from_path, peek_info, read_space_from_bytes, read_space_from_path, write_space,
-    write_space_to_path, ArenaOutcome, IndexInfo, IndexOutcome, IndexPolicy, LoadMode, LoadOptions,
-    LoadReport, LoadedSpace, StoreInfo, StoreReader, StoreSummary, StoreWriter, FORMAT_VERSION,
-    MAGIC, MIN_READ_VERSION,
+    write_space_to_path, ArenaOutcome, IndexInfo, IndexOutcome, Load, LoadReport, LoadedSpace,
+    StoreInfo, StoreSummary, StoreWriter, FORMAT_VERSION, MAGIC,
 };
 pub use mmap::{MapError, MappedCodes, MappedFile};

@@ -8,8 +8,7 @@
 //! the respective projects — but structural fidelity: the same number of
 //! parameters and constraints, Cartesian sizes of the same magnitude, and
 //! comparable sparsity, so that the relative solver behaviour of Figure 5 and
-//! Table 2 is reproduced. EXPERIMENTS.md records paper-reported versus
-//! measured characteristics per space.
+//! Table 2 is reproduced.
 
 use at_searchspace::{SearchSpaceSpec, TunableParameter};
 

@@ -2,15 +2,12 @@
 //!
 //! The v2 `ATSS` contract under test:
 //!
-//! * an mmap-loaded space is code-for-code and `index_of`-identical to an
-//!   owned (copying) load and to the cold build — for arbitrary generated
-//!   spaces and the real workloads;
+//! * a space served by the trusted (mmap) loader is code-for-code and
+//!   `index_of`-identical to the verified (copying) load and to the cold
+//!   build — for arbitrary generated spaces and the real workloads;
 //! * damage to the persisted membership table (byte flips, truncation) is
 //!   never served: the load either fails cleanly or falls back to a
-//!   *reported* index rebuild, and every lookup stays correct;
-//! * v1 files (the checked-in fixture) remain readable via the copying
-//!   path, including under `LoadOptions::mmap_trusted()` (reported
-//!   fallback).
+//!   *reported* index rebuild, and every lookup stays correct.
 
 use proptest::prelude::*;
 
@@ -19,8 +16,7 @@ use autotuning_searchspaces::searchspace::{
     build_search_space, Method, SearchSpace, TunableParameter,
 };
 use autotuning_searchspaces::store::{
-    load_space_from_path, read_space_from_path, write_space, write_space_to_path, IndexPolicy,
-    LoadMode, LoadOptions, StoreReader, FORMAT_VERSION, MIN_READ_VERSION,
+    load_space_from_path, write_space, write_space_to_path, Load,
 };
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -46,27 +42,20 @@ fn assert_spaces_identical(original: &SearchSpace, loaded: &SearchSpace) {
     }
 }
 
-/// Every load-option combination must serve the same space.
+/// Both loaders must serve the same space.
 fn assert_all_load_paths_identical(reference: &SearchSpace, path: &std::path::Path) {
-    let reader = StoreReader::open(path).unwrap();
-    for mode in [LoadMode::Copy, LoadMode::Mmap] {
-        for index in [
-            IndexPolicy::Rebuild,
-            IndexPolicy::TrustPersisted,
-            IndexPolicy::VerifySampled,
-        ] {
-            let loaded = reader.load(LoadOptions { mode, index }).unwrap();
-            assert!(
-                loaded.report.index_fallback().is_none(),
-                "pristine file must not fall back: {:?}",
-                loaded.report
-            );
-            if mode == LoadMode::Mmap && cfg!(target_os = "linux") {
-                assert!(loaded.report.is_zero_copy());
-                assert!(loaded.space.is_zero_copy());
-            }
-            assert_spaces_identical(reference, &loaded.space);
+    for load in [Load::Verified, Load::Trusted] {
+        let loaded = load_space_from_path(path, load).unwrap();
+        assert!(
+            loaded.report.index_fallback().is_none(),
+            "pristine file must not fall back: {:?}",
+            loaded.report
+        );
+        if load == Load::Trusted && cfg!(target_os = "linux") {
+            assert!(loaded.report.is_zero_copy());
+            assert!(loaded.space.is_zero_copy());
         }
+        assert_spaces_identical(reference, &loaded.space);
     }
 }
 
@@ -173,12 +162,8 @@ proptest! {
 
         let path = temp_dir("prop-dmg").join("damaged.atss");
         std::fs::write(&path, &bytes).unwrap();
-        for options in [
-            LoadOptions::default(),
-            LoadOptions::mmap_trusted(),
-            LoadOptions { mode: LoadMode::Mmap, index: IndexPolicy::VerifySampled },
-        ] {
-            match load_space_from_path(&path, options) {
+        for load in [Load::Verified, Load::Trusted] {
+            match load_space_from_path(&path, load) {
                 Ok(loaded) => {
                     // Damage to the index itself must have been detected
                     // and reported; either way every lookup is correct.
@@ -207,9 +192,9 @@ proptest! {
         let keep_bytes = ((bytes.len() - 1) as f64 * cut) as usize;
         let path = temp_dir("prop-trunc").join("truncated.atss");
         std::fs::write(&path, &bytes[..keep_bytes]).unwrap();
-        for options in [LoadOptions::default(), LoadOptions::mmap_trusted()] {
+        for load in [Load::Verified, Load::Trusted] {
             prop_assert!(
-                load_space_from_path(&path, options).is_err(),
+                load_space_from_path(&path, load).is_err(),
                 "truncation to {keep_bytes}/{} bytes slipped through",
                 bytes.len()
             );
@@ -228,79 +213,4 @@ fn real_workloads_load_identically_through_every_path() {
         write_space_to_path(&cold, &path).unwrap();
         assert_all_load_paths_identical(&cold, &path);
     }
-}
-
-#[test]
-fn v1_fixture_still_loads_via_the_copying_path() {
-    // `tests/fixtures/v1-small.atss` was written by the PR-4 (version 1)
-    // writer and checked in; the spec below reproduces its content.
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-small.atss");
-    let (loaded, info) = read_space_from_path(&path).unwrap();
-    assert_eq!(info.version, MIN_READ_VERSION);
-    assert!(info.version < FORMAT_VERSION);
-    assert!(
-        info.index.is_none(),
-        "v1 files have no persisted membership table"
-    );
-    assert_eq!(loaded.name(), "v1-fixture");
-    assert_eq!(loaded.num_params(), 4);
-
-    // Reconstruct the fixture's space in-process and compare.
-    let params = vec![
-        TunableParameter::ints("block_size_x", [1, 2, 4, 8, 16, 32]),
-        TunableParameter::ints("block_size_y", [1, 2, 4, 8]),
-        TunableParameter::new(
-            "precision",
-            vec![
-                Value::str("half"),
-                Value::str("single"),
-                Value::str("double"),
-            ],
-        ),
-        TunableParameter::new("scale", vec![Value::Float(0.5), Value::Float(1.0)]),
-    ];
-    let mut configs = Vec::new();
-    for &x in &[1i64, 2, 4, 8, 16, 32] {
-        for &y in &[1i64, 2, 4, 8] {
-            if x * y > 32 {
-                continue;
-            }
-            for p in ["half", "single", "double"] {
-                for &s in &[0.5f64, 1.0] {
-                    configs.push(vec![
-                        Value::Int(x),
-                        Value::Int(y),
-                        Value::str(p),
-                        Value::Float(s),
-                    ]);
-                }
-            }
-        }
-    }
-    let reference = SearchSpace::from_configs("v1-fixture", params, configs).unwrap();
-    assert_spaces_identical(&reference, &loaded);
-
-    // Requesting mmap on a v1 file falls back to the copying path (no
-    // alignment rule in v1) — reported, not an error.
-    let loaded = load_space_from_path(&path, LoadOptions::mmap_trusted()).unwrap();
-    assert!(!loaded.report.is_zero_copy());
-    assert!(!loaded.space.is_zero_copy());
-    assert_spaces_identical(&reference, &loaded.space);
-}
-
-#[test]
-fn rewriting_the_v1_fixture_upgrades_it_to_v2() {
-    let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-small.atss");
-    let (v1_space, _) = read_space_from_path(&fixture).unwrap();
-    let path = temp_dir("upgrade").join("upgraded.atss");
-    write_space_to_path(&v1_space, &path).unwrap();
-    let loaded = load_space_from_path(&path, LoadOptions::mmap_trusted()).unwrap();
-    assert_eq!(loaded.info.version, FORMAT_VERSION);
-    assert!(loaded.info.index.is_some());
-    if cfg!(target_os = "linux") {
-        assert!(loaded.report.is_zero_copy());
-    }
-    assert_spaces_identical(&v1_space, &loaded.space);
 }

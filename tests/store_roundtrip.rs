@@ -12,8 +12,8 @@ use autotuning_searchspaces::searchspace::{
     build_search_space, Method, SearchSpace, SearchSpaceSpec, TunableParameter,
 };
 use autotuning_searchspaces::store::{
-    read_space_from_bytes, read_space_from_path, write_space, write_space_to_path, CacheStatus,
-    SpaceStore, StoreError, StoreWriter, FORMAT_VERSION,
+    load_space_from_path, peek_info, read_space_from_bytes, read_space_from_path, write_space,
+    write_space_to_path, CacheStatus, Load, SpaceStore, StoreError, StoreWriter, FORMAT_VERSION,
 };
 
 /// A randomly generated space description: per-parameter domains (integers,
@@ -229,15 +229,26 @@ fn streaming_store_writer_persists_while_constructing() {
 fn wrong_version_is_a_clean_store_error() {
     let spec = small_spec("version");
     let (space, _) = build_search_space(&spec, Method::Optimized).unwrap();
-    let mut bytes = Vec::new();
-    write_space(&space, &mut bytes).unwrap();
-    bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match read_space_from_bytes(&bytes) {
-        Err(StoreError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(supported, FORMAT_VERSION);
+    let path = std::env::temp_dir().join("at-store-roundtrip-version.atss");
+    // Version 1 is retired: a v2 file relabelled as v1 must not parse as
+    // one, neither by the strict reader nor by the metadata peek.
+    for version in [1, FORMAT_VERSION + 1] {
+        let mut bytes = Vec::new();
+        write_space(&space, &mut bytes).unwrap();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        for result in [
+            read_space_from_path(&path).map(|(_, info)| info),
+            peek_info(&path),
+        ] {
+            match result {
+                Err(StoreError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
+            }
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 
@@ -249,26 +260,34 @@ fn cache_falls_back_to_rebuild_on_any_damage() {
     assert_eq!(outcome.status, CacheStatus::Miss);
     let path = outcome.path.unwrap();
 
-    // Wrong version, flipped byte, truncation: each must rebuild, repair
-    // the entry, and serve an identical space.
+    // Wrong version (a retired v1 or a future one), flipped byte,
+    // truncation: each must rebuild, repair the entry, and serve an
+    // identical space.
     let pristine = std::fs::read(&path).unwrap();
+    let mut v1 = pristine.clone();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
     let mut wrong_version = pristine.clone();
     wrong_version[4..8].copy_from_slice(&(FORMAT_VERSION + 7).to_le_bytes());
     let mut flipped = pristine.clone();
     let mid = pristine.len() / 2;
     flipped[mid] ^= 0x10;
     let damaged_variants = [
+        v1,
         wrong_version,
         flipped,
         pristine[..pristine.len() / 3].to_vec(),
         b"ATSS".to_vec(),
         Vec::new(),
     ];
-    for damage in damaged_variants {
+    for (rebuilds, damage) in (1..).zip(damaged_variants) {
         std::fs::write(&path, &damage).unwrap();
         let (rebuilt, outcome) = store.get_or_build(&spec, Method::Optimized).unwrap();
         assert_eq!(outcome.status, CacheStatus::Miss, "damage must not hit");
+        assert_eq!(store.metrics().rebuilds(), rebuilds);
         assert_spaces_identical(&original, &rebuilt);
+        let rewritten = load_space_from_path(&path, Load::Verified).unwrap();
+        assert_eq!(rewritten.info.version, FORMAT_VERSION);
+        assert!(rewritten.report.index_fallback().is_none());
         let (served, outcome) = store.get_or_build(&spec, Method::Optimized).unwrap();
         assert!(outcome.status.is_hit(), "rebuild must repair the entry");
         assert_spaces_identical(&original, &served);

@@ -100,7 +100,7 @@ fn tuning_on_a_store_loaded_space_matches_tuning_on_the_cold_build() {
 
 #[test]
 fn tuning_on_a_zero_copy_mmap_space_matches_the_cold_build() {
-    use autotuning_searchspaces::store::LoadOptions;
+    use autotuning_searchspaces::store::Load;
 
     let store_dir = std::env::temp_dir().join("at-tuning-e2e-mmap");
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -113,7 +113,7 @@ fn tuning_on_a_zero_copy_mmap_space_matches_the_cold_build() {
             &spec,
             Method::Optimized,
             BuildOptions::default(),
-            LoadOptions::mmap_trusted(),
+            Load::Trusted,
         )
         .unwrap();
     assert!(outcome.status.is_hit());
