@@ -84,19 +84,23 @@ check-specs:
 
 # The batched-evaluation gate: `atss capabilities` must emit its schema,
 # and tuning must be thread-count-deterministic end to end — tune two
-# workloads at --eval-threads 1 and 4 (construction pinned to 0 ms so the
-# virtual clock matches across process runs) and require the result fields
-# (best runtime/config, evaluation count, virtual clock) byte-identical.
+# workloads with each of the four neighbor strategies (genetic, annealing,
+# hill climbing, iterated local search) at --eval-threads 1 and 4
+# (construction pinned to 0 ms so the virtual clock matches across process
+# runs) and require the result fields (best runtime/config, evaluation
+# count, virtual clock) byte-identical.
 tune-smoke:
 	$(CARGO) run --release -p at_cli --bin atss -- capabilities | grep -F '"schema":"atss.capabilities.v1"'
 	rm -rf target/tune-smoke
 	mkdir -p target/tune-smoke
 	for w in dedispersion hotspot; do \
-	  for t in 1 4; do \
-	    $(CARGO) run --release -p at_cli --bin atss -- tune --workload $$w --strategy genetic --budget-ms 5000 --seed 7 --construction-ms 0 --eval-threads $$t --json \
-	      | grep -oE '"(best_runtime_ms|best_config_id|evaluations|total_ms)":[^,}]*' > target/tune-smoke/$$w-$$t.txt || exit 1; \
+	  for s in genetic simulated-annealing hill-climbing iterated-local-search; do \
+	    for t in 1 4; do \
+	      $(CARGO) run --release -p at_cli --bin atss -- tune --workload $$w --strategy $$s --budget-ms 5000 --seed 7 --construction-ms 0 --eval-threads $$t --json \
+	        | grep -oE '"(best_runtime_ms|best_config_id|evaluations|total_ms)":[^,}]*' > target/tune-smoke/$$w-$$s-$$t.txt || exit 1; \
+	    done; \
+	    cmp target/tune-smoke/$$w-$$s-1.txt target/tune-smoke/$$w-$$s-4.txt || exit 1; \
 	  done; \
-	  cmp target/tune-smoke/$$w-1.txt target/tune-smoke/$$w-4.txt || exit 1; \
 	done
 
 # The observability gate (see README "Observability"): traced construct

@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the resolved-search-space operations that
 //! optimization algorithms rely on (Section 4.4): hash lookups (both the
-//! value-row path and the encoded-row fast path), neighbor queries, sampling
-//! and the single-pass arena statistics.
+//! value-row path and the encoded-row fast path), neighbor queries (membership
+//! probes, the adjacency scan and a memo hit), sampling and the single-pass
+//! arena statistics.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -15,8 +16,10 @@ use at_workloads::dedispersion;
 
 fn bench_searchspace_ops(c: &mut Criterion) {
     let (space, _) = build_search_space(&dedispersion().spec, Method::Optimized).unwrap();
-    let index = NeighborIndex::build(&space);
     let mid = ConfigId::from_index(space.len() / 2);
+    // every timed query of the memo is a hit
+    let mut index = NeighborIndex::build(&space);
+    index.neighbors(mid, NeighborMethod::Hamming);
     let some_config = space.view(mid).unwrap().to_vec();
     let some_codes = space.codes_of(mid).unwrap().to_vec();
 
@@ -26,11 +29,17 @@ fn bench_searchspace_ops(c: &mut Criterion) {
     group.bench_function("index_of_codes", |b| {
         b.iter(|| space.index_of_codes(&some_codes))
     });
-    group.bench_function("hamming_neighbors_indexed", |b| {
-        b.iter(|| neighbors(&space, mid, NeighborMethod::Hamming, Some(&index)).len())
+    group.bench_function("hamming_neighbors", |b| {
+        b.iter(|| neighbors(&space, mid, NeighborMethod::Hamming).len())
+    });
+    group.bench_function("strictly_adjacent_neighbors", |b| {
+        b.iter(|| neighbors(&space, mid, NeighborMethod::StrictlyAdjacent).len())
     });
     group.bench_function("adjacent_neighbors_scan", |b| {
-        b.iter(|| neighbors(&space, mid, NeighborMethod::Adjacent, None).len())
+        b.iter(|| neighbors(&space, mid, NeighborMethod::Adjacent).len())
+    });
+    group.bench_function("hamming_neighbors_memo_hit", |b| {
+        b.iter(|| index.neighbors(mid, NeighborMethod::Hamming).len())
     });
     group.bench_function("random_sample_100", |b| {
         b.iter(|| {
@@ -47,17 +56,6 @@ fn bench_searchspace_ops(c: &mut Criterion) {
     group.bench_function("true_bounds", |b| b.iter(|| space.true_bounds().len()));
     group.bench_function("occurring_values", |b| {
         b.iter(|| space.occurring_values().len())
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("searchspace_ops/neighbor_index_build");
-    group.sample_size(10);
-    group.bench_function("dedispersion", |b| {
-        b.iter(|| {
-            NeighborIndex::build(&space)
-                .hamming_neighbors(&space, ConfigId::from_index(0))
-                .len()
-        })
     });
     group.finish();
 }

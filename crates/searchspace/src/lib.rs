@@ -45,7 +45,12 @@
 //! [`ConfigId`]; callers already in code space use `index_of_codes`.
 //! Neighbor queries ([`neighbors()`], [`NeighborIndex`]) and sampling
 //! ([`sample_indices`], [`latin_hypercube_sample`]) consume and produce
-//! [`ConfigId`]s and operate on encoded rows internally.
+//! [`ConfigId`]s and operate on encoded rows internally. Hamming and
+//! strictly-adjacent neighbors are found by changing one code of the row and
+//! probing the membership table, so nothing is built per space;
+//! [`NeighborIndex`] only memoizes the rings a tuning session asks for.
+//! Adjacent neighbors may differ in every position at once, too many
+//! candidates to probe, so that method scans the arena.
 //!
 //! # MIGRATION: collected construction → streaming construction
 //!

@@ -2,16 +2,27 @@
 //!
 //! Optimization strategies such as genetic algorithms, hill climbing and
 //! simulated annealing repeatedly ask for the valid neighbors of a
-//! configuration. Because the space is fully resolved, neighbors can be
-//! served from an index instead of generating candidate configurations and
-//! re-checking constraints (Section 4.4).
+//! configuration. Because the space is fully resolved, the space answers
+//! those queries itself instead of generating candidate configurations and
+//! re-checking constraints (Section 4.4). A Hamming neighbor differs from its
+//! configuration in exactly one position, so changing one code of the row and
+//! probing the membership table behind [`SearchSpace::index_of_codes`] finds
+//! every neighbor in Σ(domain sizes) lookups, with nothing built beforehand.
+//! A strictly-adjacent neighbor is one of the two probes `code ± 1` per
+//! position. An adjacent neighbor may differ in every position at once, so
+//! its 3^params − 1 candidates are not worth probing: that method scans the
+//! arena.
+//!
+//! [`NeighborIndex`] memoizes the rings a tuning session has asked for,
+//! because sessions ask for the same configuration's ring again and again (an
+//! annealing chain stays put after every rejected move).
 //!
 //! All queries operate on [`ConfigId`]s and the space's encoded code rows —
 //! no configuration is decoded to [`at_csp::Value`]s anywhere in this module.
 
 use rustc_hash::FxHashMap;
 
-use crate::space::{hash_codes, ConfigId, SearchSpace};
+use crate::space::{ConfigId, SearchSpace};
 
 /// The neighbor definitions supported by Kernel Tuner's `SearchSpace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,152 +37,80 @@ pub enum NeighborMethod {
     StrictlyAdjacent,
 }
 
-/// A prebuilt index for Hamming-distance-1 neighbor queries.
+/// A tuning session's memo of neighbor rings over one space.
 ///
-/// For every configuration and every parameter position, the encoded row is
-/// hashed with that position wildcarded; configurations sharing a bucket are
-/// candidates that differ only in that position. Buckets are keyed by the
-/// 64-bit hash alone (ids are verified against the arena at query time, so a
-/// hash collision can only cost a wasted comparison, never a wrong neighbor),
-/// which keeps the index at one `u64 → Vec<u32>` entry per distinct wildcard
-/// row instead of a cloned key row per configuration.
-#[derive(Debug, Default)]
-pub struct NeighborIndex {
-    buckets: FxHashMap<u64, Vec<u32>>,
+/// Building it is O(1) and allocates nothing; each ring is computed by
+/// [`neighbors()`] on its first query and served from the memo afterwards.
+#[derive(Debug)]
+pub struct NeighborIndex<'a> {
+    space: &'a SearchSpace,
+    rings: FxHashMap<(ConfigId, NeighborMethod), Vec<ConfigId>>,
 }
 
-/// Hash of a code row with position `pos` wildcarded, tagged with `pos` so
-/// buckets of different positions never merge by construction.
-fn wildcard_hash(codes: &[u32], pos: usize) -> u64 {
-    let mut h = hash_codes(&codes[..pos]) ^ (pos as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    h = (h ^ u32::MAX as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    for &c in &codes[pos + 1..] {
-        h = (h ^ c as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// True when `a` and `b` differ exactly at position `pos` and nowhere else.
-fn differs_only_at(a: &[u32], b: &[u32], pos: usize) -> bool {
-    a[pos] != b[pos] && a[..pos] == b[..pos] && a[pos + 1..] == b[pos + 1..]
-}
-
-impl NeighborIndex {
-    /// Build the index for a space. Cost is `O(len × params)`.
-    pub fn build(space: &SearchSpace) -> Self {
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for id in space.ids() {
-            let codes = space.codes_of(id).expect("id in range");
-            for pos in 0..codes.len() {
-                buckets
-                    .entry(wildcard_hash(codes, pos))
-                    .or_default()
-                    .push(id.index() as u32);
-            }
+impl<'a> NeighborIndex<'a> {
+    /// An empty memo over `space`.
+    pub fn build(space: &'a SearchSpace) -> Self {
+        NeighborIndex {
+            space,
+            rings: FxHashMap::default(),
         }
-        NeighborIndex { buckets }
     }
 
-    /// Hamming-distance-1 neighbors of the configuration with the given id.
-    pub fn hamming_neighbors(&self, space: &SearchSpace, id: ConfigId) -> Vec<ConfigId> {
-        let codes = match space.codes_of(id) {
-            Some(c) => c,
-            None => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        for pos in 0..codes.len() {
-            if let Some(bucket) = self.buckets.get(&wildcard_hash(codes, pos)) {
-                out.extend(
-                    bucket
-                        .iter()
-                        .map(|&j| ConfigId::from_index(j as usize))
-                        .filter(|&j| {
-                            j != id
-                                && differs_only_at(
-                                    codes,
-                                    space.codes_of(j).expect("indexed id in range"),
-                                    pos,
-                                )
-                        }),
-                );
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// The neighbors of `id` according to `method`, in id order.
+    pub fn neighbors(&mut self, id: ConfigId, method: NeighborMethod) -> &[ConfigId] {
+        let space = self.space;
+        self.rings
+            .entry((id, method))
+            .or_insert_with(|| neighbors(space, id, method))
     }
 }
 
-/// Neighbors of the configuration with the given id according to `method`.
+/// Neighbors of the configuration with the given id according to `method`,
+/// in id order. An id outside the space has no neighbors.
 ///
-/// `Hamming` queries use the prebuilt index when provided and fall back to a
-/// scan otherwise; the code-distance variants always scan (their candidate
-/// sets are not bucketable by a single wildcard position).
-pub fn neighbors(
-    space: &SearchSpace,
-    id: ConfigId,
-    method: NeighborMethod,
-    prebuilt: Option<&NeighborIndex>,
-) -> Vec<ConfigId> {
-    if space.codes_of(id).is_none() {
+/// `Hamming` and `StrictlyAdjacent` queries probe the membership table one
+/// changed position at a time; `Adjacent` queries scan the arena.
+pub fn neighbors(space: &SearchSpace, id: ConfigId, method: NeighborMethod) -> Vec<ConfigId> {
+    let Some(codes) = space.codes_of(id) else {
         return Vec::new();
+    };
+    if method == NeighborMethod::Adjacent {
+        return space
+            .ids()
+            .filter(|&j| is_adjacent(codes, space.codes_of(j).expect("valid id")))
+            .collect();
     }
-    match method {
-        NeighborMethod::Hamming => match prebuilt {
-            Some(index) => index.hamming_neighbors(space, id),
-            None => scan_neighbors(space, id, method),
-        },
-        _ => scan_neighbors(space, id, method),
-    }
-}
-
-fn scan_neighbors(space: &SearchSpace, id: ConfigId, method: NeighborMethod) -> Vec<ConfigId> {
-    let reference = space.codes_of(id).expect("valid id");
+    let mut row = codes.to_vec();
     let mut out = Vec::new();
-    for candidate in space.ids() {
-        if candidate == id {
-            continue;
+    for (pos, param) in space.params().iter().enumerate() {
+        let own = codes[pos];
+        let len = param.len() as u32;
+        let probes = match method {
+            NeighborMethod::StrictlyAdjacent => own.saturating_sub(1)..(own + 2).min(len),
+            _ => 0..len,
+        };
+        for code in probes.filter(|&c| c != own) {
+            row[pos] = code;
+            out.extend(space.index_of_codes(&row));
         }
-        let codes = space.codes_of(candidate).expect("valid id");
-        if is_neighbor(reference, codes, method) {
-            out.push(candidate);
-        }
+        row[pos] = own;
     }
+    out.sort_unstable();
     out
 }
 
-fn is_neighbor(a: &[u32], b: &[u32], method: NeighborMethod) -> bool {
-    match method {
-        NeighborMethod::Hamming => {
-            let differing = a.iter().zip(b.iter()).filter(|(x, y)| x != y).count();
-            differing == 1
-        }
-        NeighborMethod::Adjacent => {
-            let mut any_diff = false;
-            for (&x, &y) in a.iter().zip(b.iter()) {
-                let d = x.abs_diff(y);
-                if d > 1 {
-                    return false;
-                }
-                if d == 1 {
-                    any_diff = true;
-                }
-            }
-            any_diff
-        }
-        NeighborMethod::StrictlyAdjacent => {
-            let mut differing = 0;
-            for (&x, &y) in a.iter().zip(b.iter()) {
-                if x.abs_diff(y) > 1 {
-                    return false;
-                }
-                if x != y {
-                    differing += 1;
-                }
-            }
-            differing == 1
+/// True when every code of `a` and `b` differs by at most one, and at least
+/// one differs.
+fn is_adjacent(a: &[u32], b: &[u32]) -> bool {
+    let mut any_diff = false;
+    for (&x, &y) in a.iter().zip(b.iter()) {
+        match x.abs_diff(y) {
+            0 => {}
+            1 => any_diff = true,
+            _ => return false,
         }
     }
+    any_diff
 }
 
 #[cfg(test)]
@@ -198,23 +137,44 @@ mod tests {
         SearchSpace::from_configs("grid", params, configs).unwrap()
     }
 
+    /// Exhaustive reference: every row differing from `id` in exactly one
+    /// position, by at most `max_step` codes there.
+    fn scanned(s: &SearchSpace, id: ConfigId, max_step: u32) -> Vec<ConfigId> {
+        let a = s.codes_of(id).unwrap();
+        s.ids()
+            .filter(|&j| {
+                let b = s.codes_of(j).unwrap();
+                let mut differing = a.iter().zip(b).filter(|(x, y)| x != y);
+                matches!(
+                    (differing.next(), differing.next()),
+                    (Some((x, y)), None) if x.abs_diff(*y) <= max_step
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn hamming_neighbors_scan_and_index_agree() {
+    fn probes_match_an_exhaustive_scan_and_the_memo_repeats_them() {
         let s = space();
-        let index = NeighborIndex::build(&s);
+        let mut index = NeighborIndex::build(&s);
         for id in s.ids() {
-            let scanned = neighbors(&s, id, NeighborMethod::Hamming, None);
-            let indexed = neighbors(&s, id, NeighborMethod::Hamming, Some(&index));
-            assert_eq!(scanned, indexed, "config {id}");
+            for (method, max_step) in [
+                (NeighborMethod::Hamming, u32::MAX),
+                (NeighborMethod::StrictlyAdjacent, 1),
+            ] {
+                let probed = neighbors(&s, id, method);
+                assert_eq!(probed, scanned(&s, id, max_step), "{method:?} of {id}");
+                assert_eq!(index.neighbors(id, method), probed, "first query");
+                assert_eq!(index.neighbors(id, method), probed, "memo hit");
+            }
         }
     }
 
     #[test]
     fn hamming_neighbors_of_corner() {
         let s = space();
-        let index = NeighborIndex::build(&s);
         let origin = s.index_of(&int_values([1, 1])).unwrap();
-        let n = neighbors(&s, origin, NeighborMethod::Hamming, Some(&index));
+        let n = neighbors(&s, origin, NeighborMethod::Hamming);
         // same row or same column: (1,2), (1,4), (2,1), (4,1)
         assert_eq!(n.len(), 4);
         for j in n {
@@ -227,7 +187,7 @@ mod tests {
     fn adjacent_neighbors_use_value_positions() {
         let s = space();
         let center = s.index_of(&int_values([2, 2])).unwrap();
-        let n = neighbors(&s, center, NeighborMethod::Adjacent, None);
+        let n = neighbors(&s, center, NeighborMethod::Adjacent);
         // all 8 surrounding grid cells except the removed (4,4)
         assert_eq!(n.len(), 7);
     }
@@ -236,26 +196,25 @@ mod tests {
     fn strictly_adjacent_neighbors() {
         let s = space();
         let center = s.index_of(&int_values([2, 2])).unwrap();
-        let n = neighbors(&s, center, NeighborMethod::StrictlyAdjacent, None);
+        let n = neighbors(&s, center, NeighborMethod::StrictlyAdjacent);
         // only the 4 axis-aligned direct neighbors
         assert_eq!(n.len(), 4);
         let corner = s.index_of(&int_values([1, 1])).unwrap();
-        let n = neighbors(&s, corner, NeighborMethod::StrictlyAdjacent, None);
+        let n = neighbors(&s, corner, NeighborMethod::StrictlyAdjacent);
         assert_eq!(n.len(), 2);
     }
 
     #[test]
     fn neighborhood_is_symmetric() {
         let s = space();
-        let index = NeighborIndex::build(&s);
         for method in [
             NeighborMethod::Hamming,
             NeighborMethod::Adjacent,
             NeighborMethod::StrictlyAdjacent,
         ] {
             for i in s.ids() {
-                for &j in &neighbors(&s, i, method, Some(&index)) {
-                    let back = neighbors(&s, j, method, Some(&index));
+                for &j in &neighbors(&s, i, method) {
+                    let back = neighbors(&s, j, method);
                     assert!(
                         back.contains(&i),
                         "{method:?} asymmetric between {i} and {j}"
@@ -269,6 +228,6 @@ mod tests {
     fn invalid_id_has_no_neighbors() {
         let s = space();
         let bogus = ConfigId::from_index(999);
-        assert!(neighbors(&s, bogus, NeighborMethod::Hamming, None).is_empty());
+        assert!(neighbors(&s, bogus, NeighborMethod::Hamming).is_empty());
     }
 }

@@ -13,7 +13,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use at_searchspace::{neighbors, ConfigId, NeighborIndex, NeighborMethod};
+use at_searchspace::{ConfigId, NeighborIndex, NeighborMethod};
 
 use crate::eval::out_of_budget;
 use crate::tuning::{Strategy, TuningContext};
@@ -79,9 +79,9 @@ impl Strategy for GeneticAlgorithm {
     }
 
     fn run(&self, ctx: &mut TuningContext<'_>) {
-        let index = NeighborIndex::build(ctx.space());
+        let mut index = NeighborIndex::build(ctx.space());
         let n = ctx.space().len();
-        let pop_size = self.population_size.min(n).max(2);
+        let pop_size = self.population_size.max(2).min(n);
 
         // initial population: one batch of distinct random configurations
         let mut all: Vec<ConfigId> = ctx.space().ids().collect();
@@ -109,8 +109,7 @@ impl Strategy for GeneticAlgorithm {
 
                 // mutation: jump to a random valid Hamming neighbor
                 if ctx.rng().gen_bool(self.mutation_rate) {
-                    let neighbor_list =
-                        neighbors(ctx.space(), child, NeighborMethod::Hamming, Some(&index));
+                    let neighbor_list = index.neighbors(child, NeighborMethod::Hamming);
                     if !neighbor_list.is_empty() {
                         child = neighbor_list[ctx.rng().gen_range(0..neighbor_list.len())];
                     }

@@ -10,7 +10,7 @@
 
 use rand::Rng;
 
-use at_searchspace::{neighbors, ConfigId, NeighborIndex, NeighborMethod};
+use at_searchspace::{ConfigId, NeighborIndex, NeighborMethod};
 
 use crate::eval::out_of_budget;
 use crate::tuning::{Strategy, TuningContext};
@@ -44,15 +44,15 @@ impl IteratedLocalSearch {
     fn descend(
         &self,
         ctx: &mut TuningContext<'_>,
-        index: &NeighborIndex,
+        index: &mut NeighborIndex<'_>,
         start: ConfigId,
         start_time: f64,
     ) -> Option<(ConfigId, f64)> {
         let mut current = start;
         let mut current_time = start_time;
         loop {
-            let ring = neighbors(ctx.space(), current, self.neighbor_method, Some(index));
-            let outcomes = ctx.evaluate_batch(&ring);
+            let ring = index.neighbors(current, self.neighbor_method);
+            let outcomes = ctx.evaluate_batch(ring);
             let mut best_neighbor: Option<(ConfigId, f64)> = None;
             for (&candidate, outcome) in ring.iter().zip(&outcomes) {
                 if let Some(t) = outcome.runtime() {
@@ -78,12 +78,12 @@ impl IteratedLocalSearch {
     fn perturb(
         &self,
         ctx: &mut TuningContext<'_>,
-        index: &NeighborIndex,
+        index: &mut NeighborIndex<'_>,
         from: ConfigId,
     ) -> ConfigId {
         let mut current = from;
         for _ in 0..self.perturbation_strength {
-            let options = neighbors(ctx.space(), current, self.neighbor_method, Some(index));
+            let options = index.neighbors(current, self.neighbor_method);
             if options.is_empty() {
                 break;
             }
@@ -99,7 +99,7 @@ impl Strategy for IteratedLocalSearch {
     }
 
     fn run(&self, ctx: &mut TuningContext<'_>) {
-        let index = NeighborIndex::build(ctx.space());
+        let mut index = NeighborIndex::build(ctx.space());
         let n = ctx.space().len();
 
         let start = ConfigId::from_index(ctx.rng().gen_range(0..n));
@@ -107,18 +107,18 @@ impl Strategy for IteratedLocalSearch {
             Some(t) => t,
             None => return,
         };
-        let mut incumbent = match self.descend(ctx, &index, start, start_time) {
+        let mut incumbent = match self.descend(ctx, &mut index, start, start_time) {
             Some(opt) => opt,
             None => return,
         };
 
         while !ctx.exhausted() {
-            let restart = self.perturb(ctx, &index, incumbent.0);
+            let restart = self.perturb(ctx, &mut index, incumbent.0);
             let restart_time = match ctx.evaluate_one(restart).runtime() {
                 Some(t) => t,
                 None => return,
             };
-            let candidate = match self.descend(ctx, &index, restart, restart_time) {
+            let candidate = match self.descend(ctx, &mut index, restart, restart_time) {
                 Some(opt) => opt,
                 None => return,
             };

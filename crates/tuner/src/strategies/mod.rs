@@ -167,4 +167,40 @@ mod tests {
             assert!(run.total_ms <= run.budget_ms + 1e-9, "{name}");
         }
     }
+
+    #[test]
+    fn every_strategy_handles_one_and_two_configuration_spaces() {
+        use crate::kernel::PerformanceModel;
+        // {(4, 2)}, then {(2, 2), (4, 2)}: Hamming neighbors of each other
+        for (constraint, size) in [("x * y == 8", 1), ("x * y >= 4 and y == 2", 2)] {
+            let spec = SearchSpaceSpec::new("tiny")
+                .with_param(TunableParameter::ints("x", [1, 2, 4]))
+                .with_param(TunableParameter::ints("y", [1, 2]))
+                .with_expr(constraint);
+            let space = build_search_space(&spec, Method::Optimized).unwrap().0;
+            assert_eq!(space.len(), size);
+            let model = SyntheticKernel::for_space(&space, 5);
+            let best_possible = space
+                .iter_decoded()
+                .map(|c| model.runtime_ms(&c))
+                .fold(f64::INFINITY, f64::min);
+            for name in all_strategy_names() {
+                let strategy = strategy_by_name(name).unwrap();
+                let run = tune(
+                    &space,
+                    &model,
+                    strategy.as_ref(),
+                    Duration::from_secs(5),
+                    Duration::ZERO,
+                    3,
+                );
+                assert!(run.num_evaluations() >= 1, "{name} on {size}");
+                assert_eq!(
+                    run.best_runtime_ms(),
+                    Some(best_possible),
+                    "{name} on {size}"
+                );
+            }
+        }
+    }
 }

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use at_searchspace::{neighbors, ConfigId, NeighborIndex, NeighborMethod};
+use at_searchspace::{ConfigId, NeighborIndex, NeighborMethod};
 
 use crate::tuning::{Strategy, TuningContext};
 
@@ -37,7 +37,7 @@ impl Strategy for SimulatedAnnealing {
     }
 
     fn run(&self, ctx: &mut TuningContext<'_>) {
-        let index = NeighborIndex::build(ctx.space());
+        let mut index = NeighborIndex::build(ctx.space());
         let n = ctx.space().len();
         let mut current = ConfigId::from_index(ctx.rng().gen_range(0..n));
         let mut current_time = match ctx.evaluate_one(current).runtime() {
@@ -46,7 +46,7 @@ impl Strategy for SimulatedAnnealing {
         };
         let mut temperature = self.initial_temperature * current_time;
         while !ctx.exhausted() {
-            let neighbor_list = neighbors(ctx.space(), current, self.neighbor_method, Some(&index));
+            let neighbor_list = index.neighbors(current, self.neighbor_method);
             if neighbor_list.is_empty() {
                 // isolated configuration: restart somewhere else
                 current = ConfigId::from_index(ctx.rng().gen_range(0..n));

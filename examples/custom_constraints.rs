@@ -7,7 +7,7 @@
 
 use autotuning_searchspaces::prelude::*;
 use autotuning_searchspaces::searchspace::{
-    latin_hypercube_sample, neighbors, NeighborIndex, NeighborMethod, Restriction,
+    latin_hypercube_sample, neighbors, NeighborMethod, Restriction,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -52,10 +52,11 @@ fn main() {
     let invalid = vec![Value::Int(2), Value::Int(2), Value::str("row")];
     println!("is (2, 2, row) valid? {}", space.contains(&invalid));
 
-    // valid neighbors, as used by the genetic algorithm's mutation step
+    // valid neighbors, as used by the genetic algorithm's mutation step: the
+    // space changes one parameter at a time and looks each changed row up in
+    // its membership table, so no constraint is evaluated again
     if let Some(center) = space.index_of(&config) {
-        let index = NeighborIndex::build(&space);
-        let hamming = neighbors(&space, center, NeighborMethod::Hamming, Some(&index));
+        let hamming = neighbors(&space, center, NeighborMethod::Hamming);
         println!(
             "(8, 8, tiled) has {} Hamming-distance-1 valid neighbors, e.g.:",
             hamming.len()

@@ -1,13 +1,16 @@
 //! Property-based tests of the index-encoded `SearchSpace` core: for
 //! arbitrary small specifications, encode/decode round-trips, `iter_decoded`,
 //! `ConfigView` and `index_of`/`index_of_codes` must all agree with the
-//! plain row semantics of the old `Vec<Vec<Value>>` representation, and
-//! construction must reject rows containing out-of-domain values.
+//! plain row semantics of the old `Vec<Vec<Value>>` representation,
+//! construction must reject rows containing out-of-domain values, and
+//! neighbor probes must find exactly the rows an exhaustive scan finds.
 
 use proptest::prelude::*;
 
 use autotuning_searchspaces::csp::Value;
-use autotuning_searchspaces::searchspace::{ConfigId, SearchSpace, SpaceError, TunableParameter};
+use autotuning_searchspaces::searchspace::{
+    neighbors, ConfigId, NeighborIndex, NeighborMethod, SearchSpace, SpaceError, TunableParameter,
+};
 
 /// A randomly generated space description: per-parameter integer domains and
 /// a pseudo-random subset of the Cartesian product to keep as "valid".
@@ -67,6 +70,23 @@ fn materialize(space: &RandomSpace) -> (Vec<TunableParameter>, Vec<Vec<Value>>) 
         .map(|(_, row)| row)
         .collect();
     (params, rows)
+}
+
+/// Exhaustive reference for the probed neighbor methods: every row that
+/// differs from `id` in exactly one code position, by at most `max_step`.
+fn scanned_neighbors(space: &SearchSpace, id: ConfigId, max_step: u32) -> Vec<ConfigId> {
+    let a = space.codes_of(id).unwrap();
+    space
+        .ids()
+        .filter(|&j| {
+            let b = space.codes_of(j).unwrap();
+            let mut differing = a.iter().zip(b).filter(|(x, y)| x != y);
+            matches!(
+                (differing.next(), differing.next()),
+                (Some((x, y)), None) if x.abs_diff(*y) <= max_step
+            )
+        })
+        .collect()
 }
 
 proptest! {
@@ -131,6 +151,25 @@ proptest! {
             let original = space.view(ConfigId::from_index(new_index * 2)).unwrap();
             prop_assert_eq!(view.to_vec(), original.to_vec());
             prop_assert_eq!(filtered.index_of(&view.to_vec()), Some(view.id()));
+        }
+    }
+
+    #[test]
+    fn neighbor_probes_match_an_exhaustive_scan(desc in random_space()) {
+        let (params, rows) = materialize(&desc);
+        let space = SearchSpace::from_configs("prop", params, rows).unwrap();
+        let mut index = NeighborIndex::build(&space);
+        for id in space.ids() {
+            for (method, max_step) in [
+                (NeighborMethod::Hamming, u32::MAX),
+                (NeighborMethod::StrictlyAdjacent, 1),
+            ] {
+                let probed = neighbors(&space, id, method);
+                prop_assert_eq!(&probed, &scanned_neighbors(&space, id, max_step));
+                // The memo serves the same ring on a first query and a repeat.
+                prop_assert_eq!(index.neighbors(id, method), probed.as_slice());
+                prop_assert_eq!(index.neighbors(id, method), probed.as_slice());
+            }
         }
     }
 }

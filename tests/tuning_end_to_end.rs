@@ -4,8 +4,10 @@
 use std::time::Duration;
 
 use autotuning_searchspaces::prelude::*;
-use autotuning_searchspaces::tuner::{GeneticAlgorithm, HillClimbing};
-use autotuning_searchspaces::workloads::{dedispersion, gemm, performance_model_for};
+use autotuning_searchspaces::tuner::{strategy_by_name, GeneticAlgorithm, HillClimbing, TuningRun};
+use autotuning_searchspaces::workloads::{
+    dedispersion, gemm, performance_model_for, real_world_by_name,
+};
 
 #[test]
 fn construction_time_eats_into_the_tuning_budget() {
@@ -208,4 +210,59 @@ fn tuning_runs_are_reproducible_per_seed() {
         a.evaluations.first().map(|e| e.config_index),
         c.evaluations.first().map(|e| e.config_index)
     );
+}
+
+/// FNV-1a-64 over a run's (config id, runtime bits) sequence, each as
+/// little-endian `u64`s.
+fn trajectory_digest(run: &TuningRun) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in &run.evaluations {
+        let words = [e.config_index.index() as u64, e.runtime_ms.to_bits()];
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn neighbor_strategy_trajectories_match_golden_values() {
+    // (workload, strategy, evaluations, best id, trajectory digest), pinned
+    // so that a change to how neighbors are served cannot move a run.
+    #[rustfmt::skip]
+    const GOLDEN: [(&str, &str, usize, usize, u64); 8] = [
+        ("dedispersion", "genetic", 77, 2231, 0xc087_53f0_57b8_7c68),
+        ("dedispersion", "simulated-annealing", 74, 1692, 0x20f8_1113_800b_6907),
+        ("dedispersion", "hill-climbing", 75, 2523, 0x1c6a_0757_9d0f_09c3),
+        ("dedispersion", "iterated-local-search", 74, 1054, 0x826f_376b_20f1_7d2d),
+        ("prl-2x2", "genetic", 60, 3036, 0xc9c8_47e1_83e4_8ffb),
+        ("prl-2x2", "simulated-annealing", 55, 884, 0x054d_7bfe_fd7f_4c6f),
+        ("prl-2x2", "hill-climbing", 59, 2219, 0x7320_d2df_14be_a55f),
+        ("prl-2x2", "iterated-local-search", 60, 3087, 0xb808_9f17_dadf_06d3),
+    ];
+    let got: Vec<_> = GOLDEN
+        .iter()
+        .map(|&(workload, strategy, ..)| {
+            let spec = real_world_by_name(workload).unwrap().spec;
+            let (space, _) = build_search_space(&spec, Method::Optimized).unwrap();
+            let model = performance_model_for(&spec.name, &space, 7);
+            let run = tune(
+                &space,
+                &model,
+                strategy_by_name(strategy).unwrap().as_ref(),
+                Duration::from_secs(10),
+                Duration::ZERO,
+                3,
+            );
+            let best = run.best_evaluation().unwrap().config_index.index();
+            (
+                workload,
+                strategy,
+                run.num_evaluations(),
+                best,
+                trajectory_digest(&run),
+            )
+        })
+        .collect();
+    assert_eq!(got, GOLDEN);
 }
